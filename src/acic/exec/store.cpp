@@ -19,6 +19,7 @@
 #include "acic/common/crc32c.hpp"
 #include "acic/common/error.hpp"
 #include "acic/exec/crashpoint.hpp"
+#include "acic/io/model_version.hpp"
 #include "acic/obs/metrics.hpp"
 
 namespace acic::exec {
@@ -28,15 +29,18 @@ namespace {
 // Row layout.  Doubles are written with %.17g, which round-trips every
 // finite IEEE-754 double exactly — cold and warm results stay
 // bit-identical through the CSV.  The first header cell doubles as the
-// schema version tag (it names the record schema's generation).  Every
-// data row carries one extra framing cell: the 8-hex-digit CRC32C of
-// the payload in front of it.
+// schema version tag (it names the record schema's generation); the
+// last cell stamps the simulator model version that produced the rows.
+// A header that differs in any cell sidelines the file.  Every data row
+// carries one extra framing cell: the 8-hex-digit CRC32C of the payload
+// in front of it.
 const std::string kHeader =
     std::string(RunStore::kVersionTag) +
     ",total_time,cost,io_time,num_instances,fs_requests,fs_bytes,"
     "sim_events,outcome,retries,timeouts,failed_requests,stalled_time,"
     "fault_events_cancelled,preemptions,restarts,lost_sim_time,"
-    "checkpoint_bytes,crc32c";
+    "checkpoint_bytes,crc32c," +
+    std::string(RunStore::kModelStampKey) + io::kSimModelVersion;
 constexpr std::size_t kColumns = 18;  // payload cells, excluding the frame
 
 std::vector<std::string> split_row(const std::string& line) {
@@ -305,8 +309,8 @@ void RunStore::recover_exclusive() {
   if (adopt_clean_scan(scan)) return;  // someone else repaired already
 
   if (scan.incompatible) {
-    // Different schema generation: sideline the whole file rather than
-    // guess at its row meaning, and start fresh.
+    // Different schema generation or simulator model: sideline the
+    // whole file rather than guess at its row meaning, and start fresh.
     std::error_code ec;
     std::filesystem::rename(runs_path_, runs_path_ + ".incompatible", ec);
     if (ec) {
@@ -372,8 +376,9 @@ RunStore::ScanResult RunStore::scan_file() const {
   {
     std::string first_line = content.substr(0, header_end);
     if (!first_line.empty() && first_line.back() == '\r') first_line.pop_back();
-    const auto header = split_row(first_line);
-    if (header.empty() || header[0] != kVersionTag) {
+    // A foreign schema tag or a stale simulator stamp: either way the
+    // rows are not this build's results.
+    if (first_line != kHeader) {
       scan.incompatible = true;
       return scan;
     }

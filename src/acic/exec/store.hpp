@@ -3,7 +3,8 @@
 // RunKey — crash-safe and shareable between processes.
 //
 // Layout (one directory per store):
-//   runs.csv        — versioned header + one CRC-framed record per run
+//   runs.csv        — versioned, model-stamped header + one CRC-framed
+//                     record per run
 //   runs.csv.tmp    — compaction staging file (atomically renamed over
 //                     runs.csv; a leftover tmp from a crashed compactor
 //                     is inert and overwritten by the next rewrite)
@@ -95,9 +96,10 @@ class RunStore {
  public:
   /// Opens (creating the directory if needed) and loads `dir`/runs.csv,
   /// recovering from torn tails and quarantining corrupt records.  An
-  /// incompatible schema generation sidelines the whole file.  Throws
-  /// acic::Error when the directory, lock file or runs.csv cannot be
-  /// created/read (e.g. a read-only cache directory).
+  /// incompatible schema generation or simulator model stamp sidelines
+  /// the whole file.  Throws acic::Error when the directory, lock file
+  /// or runs.csv cannot be created/read (e.g. a read-only cache
+  /// directory).
   explicit RunStore(std::string dir);
 
   const std::string& dir() const { return dir_; }
@@ -161,6 +163,10 @@ class RunStore {
   /// schema (v2 added the CRC frame cell; v3 the preemption/checkpoint
   /// columns).
   static constexpr const char* kVersionTag = "acic_exec_store_v3";
+  /// Prefix of the last header cell, which carries io::kSimModelVersion.
+  /// A store stamped with another model version is sidelined like a
+  /// foreign schema: its results came from a different simulator.
+  static constexpr const char* kModelStampKey = "sim_model=";
   static constexpr const char* kLockFileName = ".store.lock";
 
  private:

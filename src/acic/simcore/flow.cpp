@@ -36,6 +36,7 @@ ResourceId FlowNetwork::add_resource(std::string name, double capacity) {
   ACIC_EXPECTS(capacity >= 0.0, "negative capacity " << capacity << " for "
                                                      << name);
   resources_.push_back(Resource{std::move(name), capacity});
+  scratch_.emplace_back();
   return resources_.size() - 1;
 }
 
@@ -81,8 +82,9 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
     return id;
   }
   advance();
-  flows_.push_back(
-      Flow{id, std::move(path), bytes, 0.0, std::move(on_complete)});
+  const std::uint32_t cls = intern(std::move(path));
+  join_class(cls);
+  flows_.push_back(Flow{id, cls, bytes, std::move(on_complete)});
   recompute_rates();
   schedule_next_completion();
   return id;
@@ -156,24 +158,56 @@ Task FlowNetwork::transfer_within(std::vector<ResourceId> path, Bytes bytes,
   *completed = state->flow_done;
 }
 
-void FlowNetwork::cancel_flow(FlowId id) {
-  for (auto it = flows_.begin(); it != flows_.end(); ++it) {
-    if (it->id != id) continue;
-    advance();
-    bytes_cancelled_ += it->remaining;
-    flows_.erase(it);
-    recompute_rates();
-    schedule_next_completion();
-    return;
+std::uint32_t FlowNetwork::intern(std::vector<ResourceId> path) {
+  const auto it = class_of_path_.find(path);
+  if (it != class_of_path_.end()) return it->second;
+  const auto cls = static_cast<std::uint32_t>(classes_.size());
+  classes_.push_back(PathClass{path, 0, 0.0, 0, 0.0});
+  class_of_path_.emplace(std::move(path), cls);
+  return cls;
+}
+
+void FlowNetwork::join_class(std::uint32_t cls) {
+  PathClass& c = classes_[cls];
+  if (c.members++ == 0) {
+    c.active_pos = active_.size();
+    active_.push_back(cls);
   }
+}
+
+void FlowNetwork::leave_class(std::uint32_t cls) {
+  PathClass& c = classes_[cls];
+  if (--c.members > 0) return;
+  // Swap-remove: the solve is independent of class order.
+  const std::uint32_t last = active_.back();
+  active_[c.active_pos] = last;
+  classes_[last].active_pos = c.active_pos;
+  active_.pop_back();
+}
+
+std::size_t FlowNetwork::find_flow(FlowId id) const {
+  const auto it = std::lower_bound(
+      flows_.begin(), flows_.end(), id,
+      [](const Flow& f, FlowId want) { return f.id < want; });
+  if (it == flows_.end() || it->id != id) return flows_.size();
+  return static_cast<std::size_t>(it - flows_.begin());
+}
+
+void FlowNetwork::cancel_flow(FlowId id) {
+  const std::size_t i = find_flow(id);
   // Already completed (or never admitted, e.g. a zero-byte flow): no-op.
+  if (i == flows_.size()) return;
+  advance();
+  bytes_cancelled_ += flows_[i].remaining;
+  leave_class(flows_[i].cls);
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(i));
+  recompute_rates();
+  schedule_next_completion();
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
-  for (const auto& f : flows_) {
-    if (f.id == id) return f.rate;
-  }
-  return 0.0;
+  const std::size_t i = find_flow(id);
+  return i == flows_.size() ? 0.0 : classes_[flows_[i].cls].rate;
 }
 
 void FlowNetwork::advance() {
@@ -181,7 +215,7 @@ void FlowNetwork::advance() {
   const SimTime dt = now - last_update_;
   if (dt > 0.0) {
     for (auto& f : flows_) {
-      const Bytes moved = std::min(f.rate * dt, f.remaining);
+      const Bytes moved = std::min(classes_[f.cls].rate * dt, f.remaining);
       f.remaining -= moved;
       bytes_delivered_ += moved;
     }
@@ -190,84 +224,97 @@ void FlowNetwork::advance() {
 }
 
 void FlowNetwork::recompute_rates() {
-  const std::size_t nf = flows_.size();
-  if (nf == 0) return;
+  if (active_.empty()) return;
 
-  // Progressive filling: repeatedly find the bottleneck resource (the one
-  // offering the smallest per-flow fair share among its unfixed flows),
-  // freeze the rates of every unfixed flow crossing it, and deduct that
-  // bandwidth from every resource those flows traverse.  Only resources
-  // actually crossed by an active flow participate — the solver is
-  // O(rounds x (used resources + total path length)), not O(|resources|).
-  std::vector<double> residual(resources_.size());
-  std::vector<std::size_t> unfixed_count(resources_.size(), 0);
-  std::vector<ResourceId> used;
-  used.reserve(4 * nf);
-  for (std::size_t i = 0; i < nf; ++i) {
-    flows_[i].rate = -1.0;  // marks "not yet fixed by this solve"
-    for (ResourceId r : flows_[i].path) {
-      if (unfixed_count[r] == 0) {
-        residual[r] = resources_[r].capacity;
-        used.push_back(r);
+  // Progressive filling over path classes.  Each round computes every
+  // used resource's per-flow share once, takes the smallest as the
+  // bottleneck share, freezes every unfixed class crossing a resource
+  // within 1e-12 of it (judged against these round-start shares), and
+  // then deducts frozen_count * best_share from each resource in one
+  // step.  No step reads a value another freeze of the same round has
+  // written, so the result does not depend on flow or class order, and
+  // every flow of a class gets the class's one rate.  Only resources
+  // crossed by an active class participate.
+  used_.clear();
+  for (std::uint32_t cls : active_) {
+    PathClass& c = classes_[cls];
+    c.rate = -1.0;  // marks "not yet fixed by this solve"
+    for (ResourceId r : c.path) {
+      ResourceScratch& rs = scratch_[r];
+      if (rs.unfixed == 0) {
+        rs.residual = resources_[r].capacity;
+        used_.push_back(r);
       }
-      ++unfixed_count[r];
+      rs.unfixed += c.members;
     }
   }
 
-  std::size_t fixed_total = 0;
-  while (fixed_total < nf) {
-    // Find bottleneck share among used resources.
+  std::size_t unfixed_classes = active_.size();
+  while (unfixed_classes > 0) {
     double best_share = std::numeric_limits<double>::infinity();
-    bool found = false;
-    for (ResourceId r : used) {
-      if (unfixed_count[r] == 0) continue;
-      const double share = residual[r] / static_cast<double>(unfixed_count[r]);
-      if (share < best_share) {
-        best_share = share;
-        found = true;
-      }
+    for (ResourceId r : used_) {
+      ResourceScratch& rs = scratch_[r];
+      if (rs.unfixed == 0) continue;
+      rs.share = rs.residual / static_cast<double>(rs.unfixed);
+      best_share = std::min(best_share, rs.share);
     }
-    if (!found) break;  // defensive: every flow crosses no counted resource
+    if (!std::isfinite(best_share)) break;  // defensive: nothing counted
     best_share = std::max(best_share, 0.0);
+    const double threshold = best_share * (1.0 + 1e-12);
 
-    // Freeze every unfixed flow that crosses a bottleneck resource.
     bool froze_any = false;
-    for (std::size_t i = 0; i < nf; ++i) {
-      if (flows_[i].rate >= 0.0) continue;  // already fixed this solve
+    for (std::uint32_t cls : active_) {
+      PathClass& c = classes_[cls];
+      if (c.rate >= 0.0) continue;  // already fixed this solve
       bool at_bottleneck = false;
-      for (ResourceId r : flows_[i].path) {
-        if (unfixed_count[r] == 0) continue;
-        const double share =
-            residual[r] / static_cast<double>(unfixed_count[r]);
-        if (share <= best_share * (1.0 + 1e-12)) {
+      for (ResourceId r : c.path) {
+        const ResourceScratch& rs = scratch_[r];
+        if (rs.unfixed != 0 && rs.share <= threshold) {
           at_bottleneck = true;
           break;
         }
       }
       if (!at_bottleneck) continue;
       froze_any = true;
-      ++fixed_total;
-      flows_[i].rate = best_share;
-      for (ResourceId r : flows_[i].path) {
-        residual[r] = std::max(0.0, residual[r] - best_share);
-        --unfixed_count[r];
-      }
+      --unfixed_classes;
+      c.rate = best_share;
+      for (ResourceId r : c.path) scratch_[r].frozen += c.members;
     }
     if (!froze_any) break;  // defensive against FP pathologies
+    for (ResourceId r : used_) {
+      ResourceScratch& rs = scratch_[r];
+      if (rs.frozen == 0) continue;
+      rs.residual = std::max(
+          0.0, rs.residual - static_cast<double>(rs.frozen) * best_share);
+      rs.unfixed -= rs.frozen;
+      rs.frozen = 0;
+    }
   }
-  for (auto& f : flows_) {
-    if (f.rate < 0.0) f.rate = 0.0;  // flows the solver could not place
+  for (std::uint32_t cls : active_) {
+    if (classes_[cls].rate < 0.0) classes_[cls].rate = 0.0;  // unplaced
   }
+  for (ResourceId r : used_) scratch_[r].unfixed = 0;
 }
 
 void FlowNetwork::schedule_next_completion() {
-  ++generation_;
+  if (pending_ != 0) {
+    sim_.cancel(pending_);
+    pending_ = 0;
+  }
   if (flows_.empty()) return;
-  SimTime min_eta = std::numeric_limits<SimTime>::infinity();
+  // Division is monotone, so min(remaining) / rate per class equals the
+  // per-flow minimum of remaining / rate.
+  for (std::uint32_t cls : active_) {
+    classes_[cls].min_remaining = std::numeric_limits<Bytes>::infinity();
+  }
   for (const auto& f : flows_) {
-    if (f.rate > 0.0) {
-      min_eta = std::min(min_eta, f.remaining / f.rate);
-    }
+    Bytes& min_remaining = classes_[f.cls].min_remaining;
+    min_remaining = std::min(min_remaining, f.remaining);
+  }
+  SimTime min_eta = std::numeric_limits<SimTime>::infinity();
+  for (std::uint32_t cls : active_) {
+    const PathClass& c = classes_[cls];
+    if (c.rate > 0.0) min_eta = std::min(min_eta, c.min_remaining / c.rate);
   }
   if (!std::isfinite(min_eta)) return;  // everything stalled (failure)
   // Always land on a representable instant strictly after `now` so the
@@ -277,26 +324,32 @@ void FlowNetwork::schedule_next_completion() {
   if (target <= now) {
     target = std::nextafter(now, std::numeric_limits<SimTime>::infinity());
   }
-  const std::uint64_t gen = generation_;
-  sim_.at(target, [this, gen] { handle_completion_event(gen); });
+  pending_ = sim_.at(target, [this] {
+    pending_ = 0;
+    handle_completion_event();
+  });
 }
 
-void FlowNetwork::handle_completion_event(std::uint64_t generation) {
-  if (generation != generation_) return;  // superseded by a newer solve
+void FlowNetwork::handle_completion_event() {
   advance();
 
-  std::vector<std::function<void()>> callbacks;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (flow_done(it->remaining, it->rate)) {
+  // One order-preserving compaction: survivors keep their (id) order and
+  // callbacks fire in flow-id order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& f = flows_[i];
+    if (flow_done(f.remaining, classes_[f.cls].rate)) {
       // Credit the sub-epsilon residue so bytes_delivered() sums to
       // exactly what was injected (byte conservation).
-      bytes_delivered_ += it->remaining;
-      if (it->on_complete) callbacks.push_back(std::move(it->on_complete));
-      it = flows_.erase(it);
+      bytes_delivered_ += f.remaining;
+      if (f.on_complete) done_.push_back(std::move(f.on_complete));
+      leave_class(f.cls);
     } else {
-      ++it;
+      if (kept != i) flows_[kept] = std::move(f);
+      ++kept;
     }
   }
+  flows_.resize(kept);
   ACIC_DCHECK(bytes_conserved(),
               "flow byte conservation violated: injected="
                   << bytes_injected_ << " delivered=" << bytes_delivered_
@@ -304,7 +357,8 @@ void FlowNetwork::handle_completion_event(std::uint64_t generation) {
   recompute_rates();
   ACIC_DCHECK(rates_feasible(), "max-min solve oversubscribed a resource");
   schedule_next_completion();
-  for (auto& cb : callbacks) sim_.at(sim_.now(), std::move(cb));
+  for (auto& cb : done_) sim_.at(sim_.now(), std::move(cb));
+  done_.clear();
 }
 
 bool FlowNetwork::bytes_conserved() const {
@@ -320,9 +374,12 @@ bool FlowNetwork::bytes_conserved() const {
 
 bool FlowNetwork::rates_feasible() const {
   std::vector<double> load(resources_.size(), 0.0);
-  for (const auto& f : flows_) {
-    if (f.rate <= 0.0) continue;
-    for (ResourceId r : f.path) load[r] += f.rate;
+  for (std::uint32_t cls : active_) {
+    const PathClass& c = classes_[cls];
+    if (c.rate <= 0.0) continue;
+    for (ResourceId r : c.path) {
+      load[r] += c.rate * static_cast<double>(c.members);
+    }
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     if (load[r] > resources_[r].capacity * (1.0 + 1e-9) + 1e-9) return false;

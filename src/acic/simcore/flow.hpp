@@ -7,6 +7,12 @@
 // network re-solves the max-min allocation by progressive filling and
 // re-schedules the earliest completion on the simulator's event queue.
 //
+// The solver works on path classes, not flows: every distinct resource
+// path is interned once, and all flows on it share the class's member
+// count and its one rate.  A round freezes every class that crosses a
+// bottleneck judged against the round's starting shares, so the
+// allocation depends on neither flow nor class order (DESIGN.md §16).
+//
 // This is the contention model that makes the cloud substrate behave like
 // the paper's EC2 testbed: an NFS server funnels every client through one
 // NIC resource; PVFS2 stripes spread flows over several servers; part-time
@@ -18,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,17 +97,40 @@ class FlowNetwork {
   Bytes bytes_cancelled() const { return bytes_cancelled_; }
 
  private:
+  /// A live transfer.  Its path and rate live in its PathClass.
   struct Flow {
     FlowId id = kInvalidFlow;
-    std::vector<ResourceId> path;
+    std::uint32_t cls = 0;
     Bytes remaining = 0.0;
-    double rate = 0.0;
     std::function<void()> on_complete;
   };
+  /// One interned resource path with the flows currently on it.
+  struct PathClass {
+    std::vector<ResourceId> path;
+    std::size_t members = 0;
+    double rate = 0.0;
+    std::size_t active_pos = 0;  ///< index in active_ while members > 0
+    Bytes min_remaining = 0.0;   ///< scratch for the next completion
+  };
+  /// Per-resource solver state, reused across solves; `unfixed` and
+  /// `frozen` are zero outside a solve.
+  struct ResourceScratch {
+    double residual = 0.0;
+    double share = 0.0;
+    std::size_t unfixed = 0;
+    std::size_t frozen = 0;
+  };
 
+  /// Class index for `path`, interning it on first sight.
+  std::uint32_t intern(std::vector<ResourceId> path);
+  void join_class(std::uint32_t cls);
+  void leave_class(std::uint32_t cls);
+  /// flows_ is id-sorted (ids are issued in order and every removal
+  /// preserves order); returns the index of `id` or flows_.size().
+  std::size_t find_flow(FlowId id) const;
   /// Integrate progress of all flows up to sim_.now().
   void advance();
-  /// Re-solve max-min fair sharing (progressive filling).
+  /// Re-solve max-min fair sharing over the active classes.
   void recompute_rates();
   /// Byte conservation: injected == delivered + cancelled + in-flight
   /// (within fp noise).  Backs an ACIC_DCHECK after every completion
@@ -110,7 +140,7 @@ class FlowNetwork {
   bool rates_feasible() const;
   /// (Re)arm the single pending completion event.
   void schedule_next_completion();
-  void handle_completion_event(std::uint64_t generation);
+  void handle_completion_event();
 
   Simulator& sim_;
   struct Resource {
@@ -119,8 +149,14 @@ class FlowNetwork {
   };
   std::vector<Resource> resources_;
   std::vector<Flow> flows_;
+  std::vector<PathClass> classes_;
+  std::map<std::vector<ResourceId>, std::uint32_t> class_of_path_;
+  std::vector<std::uint32_t> active_;  ///< classes with members > 0
+  std::vector<ResourceScratch> scratch_;  ///< parallel to resources_
+  std::vector<ResourceId> used_;          ///< resources the solve touches
+  std::vector<std::function<void()>> done_;  ///< completion-sweep scratch
+  EventId pending_ = 0;  ///< the armed completion event, 0 when none
   SimTime last_update_ = 0.0;
-  std::uint64_t generation_ = 0;
   FlowId next_flow_id_ = 1;
   Bytes bytes_delivered_ = 0.0;
   Bytes bytes_injected_ = 0.0;

@@ -396,6 +396,57 @@ TEST(ExecutorCacheTest, PersistentTierSurvivesIntoAFreshExecutor) {
   EXPECT_EQ(again.total_time, cold.total_time);
 }
 
+TEST(ExecutorCacheTest, StaleModelStampSidelinesStoreAndResimulates) {
+  TempDir dir("stale_model");
+  std::vector<exec::RunRequest> requests;
+  for (int servers : {1, 2, 4}) {
+    cloud::IoConfig cfg;
+    cfg.fs = cloud::FileSystemType::kPvfs2;
+    cfg.io_servers = servers;
+    requests.push_back({test_workload(), cfg, io::RunOptions{}});
+  }
+  {
+    FakeEngine writer(dir.str());
+    for (const auto& req : requests) writer.executor.run(req);
+    EXPECT_EQ(writer.executions.load(), 3);
+  }
+  // Rewrite the model stamp, as a store written by another simulator
+  // version would carry it.  RunKeys are inputs-only, so every key still
+  // matches: only the stamp can keep the old results out.
+  const auto runs = dir.path / "runs.csv";
+  std::string content;
+  {
+    std::ifstream in(runs);
+    content.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+  }
+  const auto stamp = content.find(exec::RunStore::kModelStampKey);
+  ASSERT_NE(stamp, std::string::npos);
+  ASSERT_LT(stamp, content.find('\n'));
+  const auto value = stamp + std::string(exec::RunStore::kModelStampKey).size();
+  content.replace(value, content.find('\n') - value, "acic.sim.v1");
+  {
+    std::ofstream out(runs, std::ios::trunc);
+    out << content;
+  }
+
+  FakeEngine reader(dir.str());
+  int store_hits = 0;
+  for (const auto& req : requests) {
+    exec::RunInfo info;
+    reader.executor.run(req, &info);
+    if (info.source == exec::RunSource::kStore) ++store_hits;
+  }
+  EXPECT_EQ(store_hits, 0);
+  EXPECT_EQ(reader.executions.load(), 3);
+  EXPECT_TRUE(std::filesystem::exists(dir.path / "runs.csv.incompatible"));
+
+  // The re-simulated results were stored under the current stamp.
+  FakeEngine warm(dir.str());
+  for (const auto& req : requests) warm.executor.run(req);
+  EXPECT_EQ(warm.executions.load(), 0);
+}
+
 // --------------------------------------------------------------------
 // RunStore: persistence and quarantine
 // --------------------------------------------------------------------

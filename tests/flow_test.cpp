@@ -1,7 +1,9 @@
 // Unit and property tests for the max-min fair-share flow network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -345,6 +347,177 @@ TEST_P(StripingSpeedupTest, ParallelServersScaleThroughput) {
 
 INSTANTIATE_TEST_SUITE_P(ServerCounts, StripingSpeedupTest,
                          ::testing::Values(1, 2, 3, 4, 6));
+
+// --- Path-class solver vs. the per-flow reference -----------------------
+
+// The per-flow progressive filling the simulator used before path
+// classes, kept as the reference the class solver is checked against.
+// Each flow is judged against residuals that earlier freezes of the same
+// round have already reduced, so at the 1e-12 tolerance edge it can
+// defer one flow of a path to a later round and split same-path flows.
+std::vector<double> reference_rates(
+    const std::vector<double>& caps,
+    const std::vector<std::vector<ResourceId>>& paths) {
+  const std::size_t nf = paths.size();
+  std::vector<double> rate(nf, -1.0);
+  std::vector<double> residual(caps);
+  std::vector<std::size_t> unfixed(caps.size(), 0);
+  for (const auto& path : paths) {
+    for (ResourceId r : path) ++unfixed[r];
+  }
+  std::size_t fixed = 0;
+  while (fixed < nf) {
+    double best = std::numeric_limits<double>::infinity();
+    bool found = false;
+    for (std::size_t r = 0; r < caps.size(); ++r) {
+      if (unfixed[r] == 0) continue;
+      const double share = residual[r] / static_cast<double>(unfixed[r]);
+      if (share < best) {
+        best = share;
+        found = true;
+      }
+    }
+    if (!found) break;
+    best = std::max(best, 0.0);
+    bool froze_any = false;
+    for (std::size_t i = 0; i < nf; ++i) {
+      if (rate[i] >= 0.0) continue;
+      bool at_bottleneck = false;
+      for (ResourceId r : paths[i]) {
+        if (unfixed[r] == 0) continue;
+        if (residual[r] / static_cast<double>(unfixed[r]) <=
+            best * (1.0 + 1e-12)) {
+          at_bottleneck = true;
+          break;
+        }
+      }
+      if (!at_bottleneck) continue;
+      froze_any = true;
+      ++fixed;
+      rate[i] = best;
+      for (ResourceId r : paths[i]) {
+        residual[r] = std::max(0.0, residual[r] - best);
+        --unfixed[r];
+      }
+    }
+    if (!froze_any) break;
+  }
+  for (double& r : rate) r = std::max(r, 0.0);
+  return rate;
+}
+
+/// Admits every flow at t=0 and returns the solved per-flow rates.
+std::vector<double> solved_rates(
+    const std::vector<double>& caps,
+    const std::vector<std::vector<ResourceId>>& paths) {
+  Simulator s;
+  FlowNetwork net(s);
+  for (std::size_t r = 0; r < caps.size(); ++r) {
+    net.add_resource("r" + std::to_string(r), caps[r]);
+  }
+  std::vector<FlowId> ids;
+  for (const auto& path : paths) ids.push_back(net.start_flow(path, 1e15, nullptr));
+  std::vector<double> rates;
+  for (FlowId id : ids) rates.push_back(net.flow_rate(id));
+  return rates;
+}
+
+class FlowSolverDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlowSolverDifferential, MatchesReferenceWithOneRatePerPath) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 25; ++trial) {
+    const std::size_t nr = 2 + rng.uniform_index(9);
+    std::vector<double> caps;
+    for (std::size_t r = 0; r < nr; ++r) {
+      caps.push_back(std::pow(10.0, rng.uniform(5.0, 10.0)));
+    }
+    // A few distinct paths, each shared by many flows.
+    std::vector<std::vector<ResourceId>> distinct;
+    const std::size_t np = 1 + rng.uniform_index(8);
+    for (std::size_t p = 0; p < np; ++p) {
+      std::vector<ResourceId> path;
+      const std::size_t hops = 1 + rng.uniform_index(3);
+      for (std::size_t h = 0; h < hops; ++h) {
+        const ResourceId r = rng.uniform_index(nr);
+        if (std::find(path.begin(), path.end(), r) == path.end()) {
+          path.push_back(r);
+        }
+      }
+      distinct.push_back(path);
+    }
+    std::vector<std::vector<ResourceId>> paths;
+    std::vector<std::size_t> path_of;
+    const std::size_t nf = 1 + rng.uniform_index(300);
+    for (std::size_t f = 0; f < nf; ++f) {
+      path_of.push_back(rng.uniform_index(np));
+      paths.push_back(distinct[path_of.back()]);
+    }
+
+    const auto got = solved_rates(caps, paths);
+    const auto want = reference_rates(caps, paths);
+    std::vector<double> load(nr, 0.0), top(nr, 0.0);
+    for (std::size_t f = 0; f < nf; ++f) {
+      EXPECT_NEAR(got[f], want[f], 1e-9 * want[f]) << "flow " << f;
+      for (ResourceId r : paths[f]) {
+        load[r] += got[f];
+        top[r] = std::max(top[r], got[f]);
+      }
+    }
+    for (std::size_t r = 0; r < nr; ++r) {
+      EXPECT_LE(load[r], caps[r] * (1.0 + 1e-9)) << "resource " << r;
+    }
+    for (std::size_t f = 0; f < nf; ++f) {
+      // Max-min optimality: every flow crosses a saturated resource on
+      // which no other flow gets more.
+      bool bottlenecked = false;
+      for (ResourceId r : paths[f]) {
+        if (load[r] >= caps[r] * (1.0 - 1e-9) &&
+            got[f] >= top[r] * (1.0 - 1e-9)) {
+          bottlenecked = true;
+        }
+      }
+      EXPECT_TRUE(bottlenecked) << "flow " << f;
+      for (std::size_t g = 0; g < f; ++g) {
+        if (path_of[g] == path_of[f]) {
+          EXPECT_EQ(got[g], got[f]) << "flows " << g << " and " << f;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, FlowSolverDifferential,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+// Regression: 218 flows on 2-hop paths through one shared resource whose
+// per-flow share lands on the solver's 1e-12 tolerance edge.  Per-flow
+// filling against mid-round residuals deferred the last flow in flow
+// order to a second round and gave it a different rate from the other
+// flows on its path; the class solver gives every flow one rate.
+class FlowSolverToleranceEdge : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowSolverToleranceEdge, SamePathFlowsGetOneRate) {
+  const int classes = GetParam();
+  const double shared_cap = 120987413.22880004;
+  std::vector<double> caps{shared_cap};
+  for (int c = 0; c < classes; ++c) caps.push_back(1.25e9);
+  std::vector<std::vector<ResourceId>> paths;
+  for (int f = 0; f < 218; ++f) {
+    paths.push_back({static_cast<ResourceId>(1 + f % classes), 0});
+  }
+  const auto got = solved_rates(caps, paths);
+  double load = 0.0;
+  for (std::size_t f = 0; f < got.size(); ++f) {
+    EXPECT_EQ(got[f], got[0]) << "flow " << f;
+    load += got[f];
+  }
+  EXPECT_LE(load, shared_cap * (1.0 + 1e-12));
+  EXPECT_NEAR(got[0], shared_cap / 218.0, 1e-9 * shared_cap / 218.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(ClassCounts, FlowSolverToleranceEdge,
+                         ::testing::Values(4, 16, 31));
 
 }  // namespace
 }  // namespace acic::sim

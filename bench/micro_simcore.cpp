@@ -83,7 +83,7 @@ void BM_FlowSolver(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * flows);
 }
-BENCHMARK(BM_FlowSolver)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_FlowSolver)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
 
 }  // namespace
 

@@ -14,10 +14,12 @@ namespace acic::io {
 
 /// v1 (stores without a stamp): per-flow progressive filling.
 /// v2: path-class max-min solve with round-start freezing (DESIGN.md §16).
-inline constexpr const char* kSimModelVersion = "acic.sim.v2";
+/// v3: per-class virtual clocks and finish tags; a flow's remaining bytes
+///     are `tag - served` instead of a running subtraction (DESIGN.md §16).
+inline constexpr const char* kSimModelVersion = "acic.sim.v3";
 
 /// FNV-1a digest of every RunResult field of the pinned runs under
 /// kSimModelVersion.
-inline constexpr std::uint64_t kSimModelDigest = 0x222bd8d29061797aULL;
+inline constexpr std::uint64_t kSimModelDigest = 0x4602a056cb3e1fd6ULL;
 
 }  // namespace acic::io

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "acic/common/error.hpp"
+#include "acic/obs/metrics.hpp"
 
 namespace acic::sim {
 
@@ -22,6 +23,14 @@ bool flow_done(Bytes remaining, double rate) {
   return rate > 0.0 && remaining <= rate * kTimeQuantum;
 }
 
+// Min-heap order on finish tags for std::push_heap / std::pop_heap.
+struct FinishesLater {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    return a.finish > b.finish;
+  }
+};
+
 bool path_is_duplicate_free(const std::vector<ResourceId>& path) {
   for (std::size_t i = 0; i < path.size(); ++i) {
     for (std::size_t j = i + 1; j < path.size(); ++j) {
@@ -31,6 +40,15 @@ bool path_is_duplicate_free(const std::vector<ResourceId>& path) {
   return true;
 }
 }  // namespace
+
+FlowNetwork::~FlowNetwork() {
+  if (solves_ == 0) return;
+  auto& registry = obs::MetricsRegistry::global();
+  registry.counter("sim.flow.solves").add(static_cast<double>(solves_));
+  registry.counter("sim.flow.rounds").add(static_cast<double>(rounds_));
+  registry.counter("sim.flow.class_visits")
+      .add(static_cast<double>(class_visits_));
+}
 
 ResourceId FlowNetwork::add_resource(std::string name, double capacity) {
   ACIC_EXPECTS(capacity >= 0.0, "negative capacity " << capacity << " for "
@@ -83,8 +101,7 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> path, Bytes bytes,
   }
   advance();
   const std::uint32_t cls = intern(std::move(path));
-  join_class(cls);
-  flows_.push_back(Flow{id, cls, bytes, std::move(on_complete)});
+  join_class(cls, acquire_slot(id, cls, std::move(on_complete)), bytes);
   recompute_rates();
   schedule_next_completion();
   return id;
@@ -162,22 +179,29 @@ std::uint32_t FlowNetwork::intern(std::vector<ResourceId> path) {
   const auto it = class_of_path_.find(path);
   if (it != class_of_path_.end()) return it->second;
   const auto cls = static_cast<std::uint32_t>(classes_.size());
-  classes_.push_back(PathClass{path, 0, 0.0, 0, 0.0});
-  class_of_path_.emplace(std::move(path), cls);
+  // Map keys never move or change, so the class can view its key.
+  const auto key = class_of_path_.emplace(std::move(path), cls).first;
+  classes_.push_back(PathClass{key->first, {}, 0.0, 0.0, 0});
+  // One allocation covers the common small class.
+  classes_.back().heap.reserve(4);
   return cls;
 }
 
-void FlowNetwork::join_class(std::uint32_t cls) {
+void FlowNetwork::join_class(std::uint32_t cls, std::uint32_t slot,
+                             Bytes bytes) {
   PathClass& c = classes_[cls];
-  if (c.members++ == 0) {
+  if (c.heap.empty()) {
     c.active_pos = active_.size();
     active_.push_back(cls);
   }
+  c.heap.push_back(Tag{c.served + bytes, slot});
+  std::push_heap(c.heap.begin(), c.heap.end(), FinishesLater{});
 }
 
-void FlowNetwork::leave_class(std::uint32_t cls) {
+void FlowNetwork::retire_class(std::uint32_t cls) {
   PathClass& c = classes_[cls];
-  if (--c.members > 0) return;
+  // A fresh clock keeps later finish tags small and precise.
+  c.served = 0.0;
   // Swap-remove: the solve is independent of class order.
   const std::uint32_t last = active_.back();
   active_[c.active_pos] = last;
@@ -185,39 +209,81 @@ void FlowNetwork::leave_class(std::uint32_t cls) {
   active_.pop_back();
 }
 
+std::uint32_t FlowNetwork::acquire_slot(FlowId id, std::uint32_t cls,
+                                        std::function<void()> on_complete) {
+  std::uint32_t slot = free_head_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    free_head_ = slots_[slot].next_free;
+  }
+  Flow& f = slots_[slot];
+  f.id = id;
+  f.cls = cls;
+  f.on_complete = std::move(on_complete);
+  return slot;
+}
+
+void FlowNetwork::release_slot(std::uint32_t slot) {
+  Flow& f = slots_[slot];
+  f.id = kInvalidFlow;
+  f.on_complete = nullptr;
+  f.next_free = free_head_;
+  free_head_ = slot;
+}
+
+std::size_t FlowNetwork::active_flows() const {
+  std::size_t flows = 0;
+  for (std::uint32_t cls : active_) flows += classes_[cls].members();
+  return flows;
+}
+
 std::size_t FlowNetwork::find_flow(FlowId id) const {
-  const auto it = std::lower_bound(
-      flows_.begin(), flows_.end(), id,
-      [](const Flow& f, FlowId want) { return f.id < want; });
-  if (it == flows_.end() || it->id != id) return flows_.size();
-  return static_cast<std::size_t>(it - flows_.begin());
+  if (id == kInvalidFlow) return slots_.size();
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].id == id) return i;
+  }
+  return slots_.size();
 }
 
 void FlowNetwork::cancel_flow(FlowId id) {
-  const std::size_t i = find_flow(id);
+  const std::size_t slot = find_flow(id);
   // Already completed (or never admitted, e.g. a zero-byte flow): no-op.
-  if (i == flows_.size()) return;
+  if (slot == slots_.size()) return;
   advance();
-  bytes_cancelled_ += flows_[i].remaining;
-  leave_class(flows_[i].cls);
-  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(i));
+  const std::uint32_t cls = slots_[slot].cls;
+  PathClass& c = classes_[cls];
+  const auto it = std::find_if(c.heap.begin(), c.heap.end(), [&](const Tag& t) {
+    return t.slot == slot;
+  });
+  // A flow the clock has carried past its tag delivered everything.
+  const Bytes left = it->finish - c.served;
+  bytes_cancelled_ += std::max(left, 0.0);
+  bytes_delivered_ += std::min(left, 0.0);
+  *it = c.heap.back();
+  c.heap.pop_back();
+  std::make_heap(c.heap.begin(), c.heap.end(), FinishesLater{});
+  if (c.heap.empty()) retire_class(cls);
+  release_slot(static_cast<std::uint32_t>(slot));
   recompute_rates();
   schedule_next_completion();
 }
 
 double FlowNetwork::flow_rate(FlowId id) const {
-  const std::size_t i = find_flow(id);
-  return i == flows_.size() ? 0.0 : classes_[flows_[i].cls].rate;
+  const std::size_t slot = find_flow(id);
+  return slot == slots_.size() ? 0.0 : classes_[slots_[slot].cls].rate;
 }
 
 void FlowNetwork::advance() {
   const SimTime now = sim_.now();
   const SimTime dt = now - last_update_;
   if (dt > 0.0) {
-    for (auto& f : flows_) {
-      const Bytes moved = std::min(classes_[f.cls].rate * dt, f.remaining);
-      f.remaining -= moved;
-      bytes_delivered_ += moved;
+    for (std::uint32_t cls : active_) {
+      PathClass& c = classes_[cls];
+      const Bytes moved = c.rate * dt;
+      c.served += moved;
+      bytes_delivered_ += moved * static_cast<double>(c.members());
     }
   }
   last_update_ = now;
@@ -225,6 +291,7 @@ void FlowNetwork::advance() {
 
 void FlowNetwork::recompute_rates() {
   if (active_.empty()) return;
+  ++solves_;
 
   // Progressive filling over path classes.  Each round computes every
   // used resource's per-flow share once, takes the smallest as the
@@ -234,27 +301,29 @@ void FlowNetwork::recompute_rates() {
   // step.  No step reads a value another freeze of the same round has
   // written, so the result does not depend on flow or class order, and
   // every flow of a class gets the class's one rate.  Only resources
-  // crossed by an active class participate.
+  // crossed by an active class participate, and each round walks only
+  // the classes and resources still unfixed: the unfixed classes are
+  // kept as a prefix of active_, and the solve is order-free, so the
+  // compaction leaves every rate bit-identical.
   used_.clear();
   for (std::uint32_t cls : active_) {
-    PathClass& c = classes_[cls];
-    c.rate = -1.0;  // marks "not yet fixed by this solve"
+    const PathClass& c = classes_[cls];
     for (ResourceId r : c.path) {
       ResourceScratch& rs = scratch_[r];
       if (rs.unfixed == 0) {
         rs.residual = resources_[r].capacity;
         used_.push_back(r);
       }
-      rs.unfixed += c.members;
+      rs.unfixed += c.members();
     }
   }
 
-  std::size_t unfixed_classes = active_.size();
-  while (unfixed_classes > 0) {
+  std::size_t unfixed = active_.size();
+  while (unfixed > 0) {
+    ++rounds_;
     double best_share = std::numeric_limits<double>::infinity();
     for (ResourceId r : used_) {
       ResourceScratch& rs = scratch_[r];
-      if (rs.unfixed == 0) continue;
       rs.share = rs.residual / static_cast<double>(rs.unfixed);
       best_share = std::min(best_share, rs.share);
     }
@@ -262,10 +331,11 @@ void FlowNetwork::recompute_rates() {
     best_share = std::max(best_share, 0.0);
     const double threshold = best_share * (1.0 + 1e-12);
 
-    bool froze_any = false;
-    for (std::uint32_t cls : active_) {
+    class_visits_ += unfixed;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < unfixed; ++i) {
+      const std::uint32_t cls = active_[i];
       PathClass& c = classes_[cls];
-      if (c.rate >= 0.0) continue;  // already fixed this solve
       bool at_bottleneck = false;
       for (ResourceId r : c.path) {
         const ResourceScratch& rs = scratch_[r];
@@ -274,24 +344,32 @@ void FlowNetwork::recompute_rates() {
           break;
         }
       }
-      if (!at_bottleneck) continue;
-      froze_any = true;
-      --unfixed_classes;
+      if (!at_bottleneck) {
+        std::swap(active_[kept++], active_[i]);
+        continue;
+      }
       c.rate = best_share;
-      for (ResourceId r : c.path) scratch_[r].frozen += c.members;
+      for (ResourceId r : c.path) scratch_[r].frozen += c.members();
     }
-    if (!froze_any) break;  // defensive against FP pathologies
+    if (kept == unfixed) break;  // defensive against FP pathologies
+    unfixed = kept;
+    std::size_t live = 0;
     for (ResourceId r : used_) {
       ResourceScratch& rs = scratch_[r];
-      if (rs.frozen == 0) continue;
-      rs.residual = std::max(
-          0.0, rs.residual - static_cast<double>(rs.frozen) * best_share);
-      rs.unfixed -= rs.frozen;
-      rs.frozen = 0;
+      if (rs.frozen != 0) {
+        rs.residual = std::max(
+            0.0, rs.residual - static_cast<double>(rs.frozen) * best_share);
+        rs.unfixed -= rs.frozen;
+        rs.frozen = 0;
+      }
+      if (rs.unfixed != 0) used_[live++] = r;
     }
+    used_.resize(live);
   }
-  for (std::uint32_t cls : active_) {
-    if (classes_[cls].rate < 0.0) classes_[cls].rate = 0.0;  // unplaced
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    PathClass& c = classes_[active_[i]];
+    if (i < unfixed) c.rate = 0.0;  // unplaced
+    c.active_pos = i;
   }
   for (ResourceId r : used_) scratch_[r].unfixed = 0;
 }
@@ -301,22 +379,16 @@ void FlowNetwork::schedule_next_completion() {
     sim_.cancel(pending_);
     pending_ = 0;
   }
-  if (flows_.empty()) return;
-  // Division is monotone, so min(remaining) / rate per class equals the
-  // per-flow minimum of remaining / rate.
-  for (std::uint32_t cls : active_) {
-    classes_[cls].min_remaining = std::numeric_limits<Bytes>::infinity();
-  }
-  for (const auto& f : flows_) {
-    Bytes& min_remaining = classes_[f.cls].min_remaining;
-    min_remaining = std::min(min_remaining, f.remaining);
-  }
+  // Each class's next finisher is its heap top, and division is monotone,
+  // so the earliest completion is a minimum over classes.
   SimTime min_eta = std::numeric_limits<SimTime>::infinity();
   for (std::uint32_t cls : active_) {
     const PathClass& c = classes_[cls];
-    if (c.rate > 0.0) min_eta = std::min(min_eta, c.min_remaining / c.rate);
+    if (c.rate > 0.0) {
+      min_eta = std::min(min_eta, (c.heap.front().finish - c.served) / c.rate);
+    }
   }
-  if (!std::isfinite(min_eta)) return;  // everything stalled (failure)
+  if (!std::isfinite(min_eta)) return;  // nothing active, or all stalled
   // Always land on a representable instant strictly after `now` so the
   // clock provably advances (see kTimeQuantum).
   const SimTime now = sim_.now();
@@ -333,23 +405,27 @@ void FlowNetwork::schedule_next_completion() {
 void FlowNetwork::handle_completion_event() {
   advance();
 
-  // One order-preserving compaction: survivors keep their (id) order and
-  // callbacks fire in flow-id order.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    Flow& f = flows_[i];
-    if (flow_done(f.remaining, classes_[f.cls].rate)) {
-      // Credit the sub-epsilon residue so bytes_delivered() sums to
-      // exactly what was injected (byte conservation).
-      bytes_delivered_ += f.remaining;
-      if (f.on_complete) done_.push_back(std::move(f.on_complete));
-      leave_class(f.cls);
+  // Pop each class's finished heap tops.  Retiring an emptied class
+  // swaps the last active class into position i, which is then visited.
+  for (std::size_t i = 0; i < active_.size();) {
+    const std::uint32_t cls = active_[i];
+    PathClass& c = classes_[cls];
+    while (!c.heap.empty() &&
+           flow_done(c.heap.front().finish - c.served, c.rate)) {
+      // Credit the sub-epsilon residue (or overshoot) so bytes_delivered()
+      // sums to exactly what was injected (byte conservation).
+      bytes_delivered_ += c.heap.front().finish - c.served;
+      const std::uint32_t slot = c.heap.front().slot;
+      done_.push_back(Done{slots_[slot].id, slot});
+      std::pop_heap(c.heap.begin(), c.heap.end(), FinishesLater{});
+      c.heap.pop_back();
+    }
+    if (c.heap.empty()) {
+      retire_class(cls);
     } else {
-      if (kept != i) flows_[kept] = std::move(f);
-      ++kept;
+      ++i;
     }
   }
-  flows_.resize(kept);
   ACIC_DCHECK(bytes_conserved(),
               "flow byte conservation violated: injected="
                   << bytes_injected_ << " delivered=" << bytes_delivered_
@@ -357,13 +433,25 @@ void FlowNetwork::handle_completion_event() {
   recompute_rates();
   ACIC_DCHECK(rates_feasible(), "max-min solve oversubscribed a resource");
   schedule_next_completion();
-  for (auto& cb : done_) sim_.at(sim_.now(), std::move(cb));
+  // Callbacks fire in flow-id order.
+  if (done_.size() > 1) {
+    std::sort(done_.begin(), done_.end(),
+              [](const Done& a, const Done& b) { return a.id < b.id; });
+  }
+  for (const Done& d : done_) {
+    std::function<void()>& cb = slots_[d.slot].on_complete;
+    if (cb) sim_.at(sim_.now(), std::move(cb));
+    release_slot(d.slot);
+  }
   done_.clear();
 }
 
 bool FlowNetwork::bytes_conserved() const {
   Bytes in_flight = 0.0;
-  for (const auto& f : flows_) in_flight += f.remaining;
+  for (std::uint32_t cls : active_) {
+    const PathClass& c = classes_[cls];
+    for (const Tag& t : c.heap) in_flight += t.finish - c.served;
+  }
   const Bytes drift =
       bytes_injected_ - (bytes_delivered_ + bytes_cancelled_ + in_flight);
   // fp noise from rate integration scales with the totals involved.
@@ -378,7 +466,7 @@ bool FlowNetwork::rates_feasible() const {
     const PathClass& c = classes_[cls];
     if (c.rate <= 0.0) continue;
     for (ResourceId r : c.path) {
-      load[r] += c.rate * static_cast<double>(c.members);
+      load[r] += c.rate * static_cast<double>(c.members());
     }
   }
   for (std::size_t r = 0; r < resources_.size(); ++r) {

@@ -13,6 +13,13 @@
 // bottleneck judged against the round's starting shares, so the
 // allocation depends on neither flow nor class order (DESIGN.md §16).
 //
+// Progress is kept per class, not per flow: each class has one virtual
+// clock, `served`, the bytes each member has moved since the class last
+// emptied, and a min-heap of its members' finish tags (the value of
+// `served` at which each finishes).  Advancing time, finding the next
+// completion and sweeping finished flows cost O(classes + log flows) per
+// event instead of O(flows) (GPS/WFQ finish tags, Parekh & Gallager).
+//
 // This is the contention model that makes the cloud substrate behave like
 // the paper's EC2 testbed: an NFS server funnels every client through one
 // NIC resource; PVFS2 stripes spread flows over several servers; part-time
@@ -26,6 +33,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,6 +51,10 @@ inline constexpr FlowId kInvalidFlow = 0;
 class FlowNetwork {
  public:
   explicit FlowNetwork(Simulator& sim) : sim_(sim) {}
+  /// Rolls the solver's lifetime work counters (`sim.flow.solves`,
+  /// `sim.flow.rounds`, `sim.flow.class_visits`) into the process-wide
+  /// `acic::obs` registry, once per network like `Simulator`'s events.
+  ~FlowNetwork();
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
 
@@ -79,12 +91,15 @@ class FlowNetwork {
 
   /// Abort an active flow: its remaining bytes are dropped (credited to
   /// `bytes_cancelled()`), rates are re-solved, and its on_complete never
-  /// fires.  Harmless no-op if the flow already finished.
+  /// fires.  Harmless no-op if the flow already finished.  Costs
+  /// O(flows): cancellation is rare (request timeouts).
   void cancel_flow(FlowId id);
 
-  std::size_t active_flows() const { return flows_.size(); }
+  /// Flows in flight; O(classes).
+  std::size_t active_flows() const;
 
   /// Current allocated rate of an active flow (0 if unknown/finished).
+  /// O(flows); for tests and diagnostics.
   double flow_rate(FlowId id) const;
 
   /// Cumulative bytes delivered across all completed flows.
@@ -97,21 +112,35 @@ class FlowNetwork {
   Bytes bytes_cancelled() const { return bytes_cancelled_; }
 
  private:
-  /// A live transfer.  Its path and rate live in its PathClass.
+  /// A live transfer's slot; a free slot has id == kInvalidFlow and
+  /// links to the next free slot.  Its path, rate and progress live in
+  /// its PathClass.
   struct Flow {
     FlowId id = kInvalidFlow;
     std::uint32_t cls = 0;
-    Bytes remaining = 0.0;
+    std::uint32_t next_free = 0;
     std::function<void()> on_complete;
+  };
+  /// A member's finish tag: the class's `served` at which it completes.
+  struct Tag {
+    Bytes finish = 0.0;
+    std::uint32_t slot = 0;
   };
   /// One interned resource path with the flows currently on it.
   struct PathClass {
-    std::vector<ResourceId> path;
-    std::size_t members = 0;
+    std::span<const ResourceId> path;  ///< its key in class_of_path_
+    std::vector<Tag> heap;  ///< min-heap on finish; one entry per member
+    Bytes served = 0.0;     ///< bytes per member since the class emptied
     double rate = 0.0;
-    std::size_t active_pos = 0;  ///< index in active_ while members > 0
-    Bytes min_remaining = 0.0;   ///< scratch for the next completion
+    std::size_t active_pos = 0;  ///< index in active_ while non-empty
+    std::size_t members() const { return heap.size(); }
   };
+  /// A flow found finished by the completion sweep.
+  struct Done {
+    FlowId id;
+    std::uint32_t slot;
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   /// Per-resource solver state, reused across solves; `unfixed` and
   /// `frozen` are zero outside a solve.
   struct ResourceScratch {
@@ -123,12 +152,16 @@ class FlowNetwork {
 
   /// Class index for `path`, interning it on first sight.
   std::uint32_t intern(std::vector<ResourceId> path);
-  void join_class(std::uint32_t cls);
-  void leave_class(std::uint32_t cls);
-  /// flows_ is id-sorted (ids are issued in order and every removal
-  /// preserves order); returns the index of `id` or flows_.size().
+  /// Admit a flow of `bytes` to class `cls` in slot `slot`.
+  void join_class(std::uint32_t cls, std::uint32_t slot, Bytes bytes);
+  /// Drop an emptied class from active_ and reset its virtual clock.
+  void retire_class(std::uint32_t cls);
+  std::uint32_t acquire_slot(FlowId id, std::uint32_t cls,
+                             std::function<void()> on_complete);
+  void release_slot(std::uint32_t slot);
+  /// Slot index of active flow `id`, or slots_.size() if none.
   std::size_t find_flow(FlowId id) const;
-  /// Integrate progress of all flows up to sim_.now().
+  /// Advance every active class's virtual clock up to sim_.now().
   void advance();
   /// Re-solve max-min fair sharing over the active classes.
   void recompute_rates();
@@ -148,19 +181,24 @@ class FlowNetwork {
     double capacity;
   };
   std::vector<Resource> resources_;
-  std::vector<Flow> flows_;
+  std::vector<Flow> slots_;
+  std::uint32_t free_head_ = kNoSlot;  ///< first free slot
   std::vector<PathClass> classes_;
   std::map<std::vector<ResourceId>, std::uint32_t> class_of_path_;
-  std::vector<std::uint32_t> active_;  ///< classes with members > 0
+  std::vector<std::uint32_t> active_;  ///< classes with members
   std::vector<ResourceScratch> scratch_;  ///< parallel to resources_
   std::vector<ResourceId> used_;          ///< resources the solve touches
-  std::vector<std::function<void()>> done_;  ///< completion-sweep scratch
+  std::vector<Done> done_;                ///< completion-sweep scratch
   EventId pending_ = 0;  ///< the armed completion event, 0 when none
   SimTime last_update_ = 0.0;
   FlowId next_flow_id_ = 1;
   Bytes bytes_delivered_ = 0.0;
   Bytes bytes_injected_ = 0.0;
   Bytes bytes_cancelled_ = 0.0;
+  // Solver work, rolled into the registry by the destructor.
+  std::uint64_t solves_ = 0;
+  std::uint64_t rounds_ = 0;
+  std::uint64_t class_visits_ = 0;
 };
 
 }  // namespace acic::sim

@@ -3,12 +3,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <map>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "acic/common/error.hpp"
 #include "acic/common/rng.hpp"
+#include "acic/obs/metrics.hpp"
 #include "acic/simcore/flow.hpp"
 #include "acic/simcore/simulator.hpp"
 
@@ -518,6 +523,403 @@ TEST_P(FlowSolverToleranceEdge, SamePathFlowsGetOneRate) {
 
 INSTANTIATE_TEST_SUITE_P(ClassCounts, FlowSolverToleranceEdge,
                          ::testing::Values(4, 16, 31));
+
+// --- Virtual-time bookkeeping vs. per-flow bookkeeping -----------------
+
+// The per-flow bookkeeping the simulator used before per-class virtual
+// clocks: every flow keeps its own remaining bytes, and every event
+// advances, scans and sweeps all flows.  Rates come from
+// reference_rates; completion rules and time quanta match FlowNetwork.
+class ReferenceNetwork {
+ public:
+  explicit ReferenceNetwork(Simulator& sim) : sim_(sim) {}
+
+  void add_resource(const std::string&, double capacity) {
+    caps_.push_back(capacity);
+  }
+
+  void set_capacity(ResourceId r, double capacity) {
+    advance();
+    caps_[r] = capacity;
+    resolve();
+  }
+
+  FlowId start_flow(std::vector<ResourceId> path, Bytes bytes,
+                    std::function<void()> on_complete) {
+    const FlowId id = next_id_++;
+    injected_ += bytes;
+    if (bytes <= kEpsilonBytes) {
+      delivered_ += bytes;
+      if (on_complete) sim_.at(sim_.now(), std::move(on_complete));
+      return id;
+    }
+    advance();
+    flows_.push_back(Flow{id, std::move(path), bytes, 0.0,
+                          std::move(on_complete)});
+    resolve();
+    return id;
+  }
+
+  void cancel_flow(FlowId id) {
+    const auto it = std::find_if(flows_.begin(), flows_.end(),
+                                 [&](const Flow& f) { return f.id == id; });
+    if (it == flows_.end()) return;
+    advance();
+    cancelled_ += it->remaining;
+    flows_.erase(it);
+    resolve();
+  }
+
+  std::size_t active_flows() const { return flows_.size(); }
+  Bytes bytes_injected() const { return injected_; }
+  Bytes bytes_delivered() const { return delivered_; }
+  Bytes bytes_cancelled() const { return cancelled_; }
+
+ private:
+  static constexpr Bytes kEpsilonBytes = 1e-3;
+  static constexpr SimTime kTimeQuantum = 1e-9;
+
+  struct Flow {
+    FlowId id;
+    std::vector<ResourceId> path;
+    Bytes remaining;
+    double rate;
+    std::function<void()> on_complete;
+  };
+
+  static bool done(const Flow& f) {
+    return f.remaining <= kEpsilonBytes ||
+           (f.rate > 0.0 && f.remaining <= f.rate * kTimeQuantum);
+  }
+
+  void advance() {
+    const SimTime dt = sim_.now() - last_;
+    if (dt > 0.0) {
+      for (Flow& f : flows_) {
+        const Bytes moved = std::min(f.rate * dt, f.remaining);
+        f.remaining -= moved;
+        delivered_ += moved;
+      }
+    }
+    last_ = sim_.now();
+  }
+
+  void resolve() {
+    std::vector<std::vector<ResourceId>> paths;
+    for (const Flow& f : flows_) paths.push_back(f.path);
+    const auto rates = reference_rates(caps_, paths);
+    for (std::size_t i = 0; i < flows_.size(); ++i) flows_[i].rate = rates[i];
+    if (pending_ != 0) sim_.cancel(pending_);
+    pending_ = 0;
+    SimTime eta = std::numeric_limits<SimTime>::infinity();
+    for (const Flow& f : flows_) {
+      if (f.rate > 0.0) eta = std::min(eta, f.remaining / f.rate);
+    }
+    if (!std::isfinite(eta)) return;
+    const SimTime now = sim_.now();
+    SimTime target = now + std::max(eta, kTimeQuantum);
+    if (target <= now) {
+      target = std::nextafter(now, std::numeric_limits<SimTime>::infinity());
+    }
+    pending_ = sim_.at(target, [this] {
+      pending_ = 0;
+      sweep();
+    });
+  }
+
+  void sweep() {
+    advance();
+    std::vector<std::function<void()>> fired;
+    std::vector<Flow> kept;
+    for (Flow& f : flows_) {
+      if (done(f)) {
+        delivered_ += f.remaining;
+        if (f.on_complete) fired.push_back(std::move(f.on_complete));
+      } else {
+        kept.push_back(std::move(f));
+      }
+    }
+    flows_ = std::move(kept);
+    resolve();
+    for (auto& cb : fired) sim_.at(sim_.now(), std::move(cb));
+  }
+
+  Simulator& sim_;
+  std::vector<double> caps_;
+  std::vector<Flow> flows_;  // id order
+  EventId pending_ = 0;
+  SimTime last_ = 0.0;
+  FlowId next_id_ = 1;
+  Bytes injected_ = 0.0;
+  Bytes delivered_ = 0.0;
+  Bytes cancelled_ = 0.0;
+};
+
+/// One scheduled operation of a random flow schedule.
+struct ScheduleOp {
+  enum Kind { kStart, kCancel, kCapacity };
+  ScheduleOp(Kind k, SimTime t) : kind(k), at(t) {}
+  Kind kind;
+  SimTime at;
+  std::vector<ResourceId> path;  // kStart
+  Bytes bytes = 0.0;             // kStart
+  FlowId target = kInvalidFlow;  // kCancel
+  ResourceId resource = 0;       // kCapacity
+  double capacity = 0.0;         // kCapacity
+};
+
+/// Completion time and callback order of every flow that completed.
+struct ScheduleOutcome {
+  std::map<FlowId, SimTime> finished;
+  std::vector<std::pair<SimTime, FlowId>> order;
+  Bytes injected = 0.0, delivered = 0.0, cancelled = 0.0;
+  std::uint64_t events = 0;
+};
+
+/// Runs `ops` against a fresh network of type Net with `caps`.  Starts
+/// issue ids 1, 2, ... in schedule order on both networks, so a cancel
+/// names the same flow in each.
+template <typename Net>
+ScheduleOutcome run_schedule(const std::vector<double>& caps,
+                             const std::vector<ScheduleOp>& ops) {
+  ScheduleOutcome out;
+  {
+    Simulator s;
+    Net net(s);
+    for (double cap : caps) net.add_resource("r", cap);
+    FlowId next = 1;
+    for (const ScheduleOp& op : ops) {
+      switch (op.kind) {
+        case ScheduleOp::kStart: {
+          const FlowId id = next++;
+          s.at(op.at, [&net, &s, &out, &op, id] {
+            const FlowId got =
+                net.start_flow(op.path, op.bytes, [&s, &out, id] {
+                  out.finished[id] = s.now();
+                  out.order.emplace_back(s.now(), id);
+                });
+            ASSERT_EQ(got, id);
+          });
+          break;
+        }
+        case ScheduleOp::kCancel:
+          s.at(op.at, [&net, &op] { net.cancel_flow(op.target); });
+          break;
+        case ScheduleOp::kCapacity:
+          s.at(op.at, [&net, &op] {
+            net.set_capacity(op.resource, op.capacity);
+          });
+          break;
+      }
+    }
+    s.run();
+    out.events = s.events_executed();
+    out.injected = net.bytes_injected();
+    out.delivered = net.bytes_delivered();
+    out.cancelled = net.bytes_cancelled();
+    EXPECT_EQ(net.active_flows(), 0u);
+  }
+  return out;
+}
+
+/// A random schedule over `caps.size()` resources and a few repeated
+/// paths: starts (some zero-byte, some bursts of equal flows on one
+/// path, which finish at one instant), cancels of earlier ids (finished
+/// or not), and capacity changes including outages.  Every capacity is
+/// restored at the end so all flows finish.  Gaps between bursts let
+/// classes empty and refill.
+std::vector<ScheduleOp> random_schedule(Rng& rng, std::vector<double>& caps) {
+  const std::size_t nr = 2 + rng.uniform_index(5);
+  caps.clear();
+  for (std::size_t r = 0; r < nr; ++r) {
+    caps.push_back(std::pow(10.0, rng.uniform(2.0, 4.0)));
+  }
+  std::vector<std::vector<ResourceId>> paths;
+  const std::size_t np = 1 + rng.uniform_index(5);
+  for (std::size_t p = 0; p < np; ++p) {
+    std::vector<ResourceId> path;
+    const std::size_t hops = 1 + rng.uniform_index(3);
+    for (std::size_t h = 0; h < hops; ++h) {
+      const ResourceId r = rng.uniform_index(nr);
+      if (std::find(path.begin(), path.end(), r) == path.end()) {
+        path.push_back(r);
+      }
+    }
+    paths.push_back(path);
+  }
+  std::vector<ScheduleOp> ops;
+  FlowId issued = 0;
+  SimTime t = 0.0;
+  for (int i = 0; i < 150; ++i) {
+    // Mostly dense arrivals, now and then a quiet gap.
+    t += rng.uniform() < 0.1 ? rng.uniform(20.0, 60.0) : rng.uniform(0.0, 2.0);
+    const double pick = rng.uniform();
+    if (pick < 0.7) {
+      const auto& path = paths[rng.uniform_index(np)];
+      const Bytes bytes =
+          rng.uniform() < 0.1 ? 0.0 : std::pow(10.0, rng.uniform(1.0, 4.0));
+      const int copies = rng.uniform() < 0.15 ? 3 : 1;
+      for (int c = 0; c < copies; ++c) {
+        ScheduleOp op(ScheduleOp::kStart, t);
+        op.path = path;
+        op.bytes = bytes;
+        ops.push_back(op);
+        ++issued;
+      }
+    } else if (pick < 0.85) {
+      if (issued == 0) continue;
+      ScheduleOp op(ScheduleOp::kCancel, t);
+      op.target = 1 + rng.uniform_index(issued);
+      ops.push_back(op);
+    } else {
+      ScheduleOp op(ScheduleOp::kCapacity, t);
+      op.resource = rng.uniform_index(nr);
+      op.capacity =
+          rng.uniform() < 0.2 ? 0.0 : std::pow(10.0, rng.uniform(2.0, 4.0));
+      ops.push_back(op);
+    }
+  }
+  for (std::size_t r = 0; r < nr; ++r) {
+    ScheduleOp op(ScheduleOp::kCapacity, t + 1.0);
+    op.resource = r;
+    op.capacity = caps[r];
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+class FlowBookkeepingDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FlowBookkeepingDifferential, CompletionTimesMatchPerFlowReference) {
+  Rng rng(GetParam());
+  std::size_t same_instant = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<double> caps;
+    const auto ops = random_schedule(rng, caps);
+    const auto got = run_schedule<FlowNetwork>(caps, ops);
+    const auto want = run_schedule<ReferenceNetwork>(caps, ops);
+
+    ASSERT_EQ(got.finished.size(), want.finished.size()) << "trial " << trial;
+    for (const auto& [id, at] : want.finished) {
+      const auto it = got.finished.find(id);
+      ASSERT_NE(it, got.finished.end()) << "flow " << id << " never finished";
+      EXPECT_NEAR(it->second, at, 1e-9 * std::max(at, 1.0))
+          << "trial " << trial << " flow " << id;
+    }
+    // Callbacks that fire at one instant fire in flow-id order.
+    for (std::size_t i = 1; i < got.order.size(); ++i) {
+      if (got.order[i].first != got.order[i - 1].first) continue;
+      ++same_instant;
+      EXPECT_LT(got.order[i - 1].second, got.order[i].second)
+          << "trial " << trial;
+    }
+    EXPECT_DOUBLE_EQ(got.injected, want.injected);
+    EXPECT_NEAR(got.delivered + got.cancelled, got.injected,
+                1e-9 * got.injected);
+    EXPECT_NEAR(got.cancelled, want.cancelled,
+                1e-6 * std::max(want.cancelled, 1.0));
+  }
+  EXPECT_GT(same_instant, 0u) << "schedules never finished flows together";
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, FlowBookkeepingDifferential,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(FlowNetwork, SameInstantCallbacksFireInFlowIdOrderAcrossClasses) {
+  Simulator s;
+  FlowNetwork net(s);
+  const auto a = net.add_resource("a", 100.0);
+  const auto b = net.add_resource("b", 100.0);
+  const auto c = net.add_resource("c", 100.0);
+  std::vector<FlowId> order;
+  auto record = [&order](FlowId id) { return [&order, id] { order.push_back(id); }; };
+  net.start_flow({a}, 10.0, record(1));    // a's class empties at t=0.1
+  net.start_flow({b}, 1000.0, record(2));  // t=10
+  net.start_flow({c}, 1000.0, record(3));  // t=10
+  // Class a refills after it emptied, so the classes no longer sit in
+  // flow-id order inside the network.
+  s.at(1.0, [&] { net.start_flow({a}, 100.0, record(4)); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<FlowId>{1, 4, 2, 3}));
+  EXPECT_DOUBLE_EQ(s.now(), 10.0);
+}
+
+// A class that never empties while it carries >= 1e15 B: its virtual
+// clock runs into the quadrillions, and 64 KiB flows joining it late
+// must still finish when per-flow bookkeeping says they do, without a
+// zero-progress spin.  Once the class empties its clock restarts at 0,
+// so a tiny flow after the refill matches the reference exactly.
+TEST(FlowNetwork, VirtualClockKeepsSmallLateFlowsPrecise) {
+  const std::vector<double> caps{1e12};
+  std::vector<ScheduleOp> ops;
+  ScheduleOp big(ScheduleOp::kStart, 0.0);
+  big.path = {0};
+  big.bytes = 4e15;  // alone it would run 4000 s
+  ops.push_back(big);
+  std::vector<std::pair<FlowId, SimTime>> small;  // id, start
+  for (int k = 0; k < 16; ++k) {
+    ScheduleOp op(ScheduleOp::kStart, 2000.0 + 1e-3 * k);
+    op.path = {0};
+    op.bytes = 65536.0;
+    ops.push_back(op);
+    small.emplace_back(2 + k, op.at);
+  }
+  ScheduleOp drop(ScheduleOp::kCancel, 2100.0);
+  drop.target = 1;  // the class empties
+  ops.push_back(drop);
+  ScheduleOp slow(ScheduleOp::kCapacity, 2100.0);
+  slow.capacity = 1e6;
+  ops.push_back(slow);
+  ScheduleOp tiny(ScheduleOp::kStart, 2200.0);
+  tiny.path = {0};
+  tiny.bytes = 1000.3;  // not a multiple of ulp(2e15) = 0.25
+  ops.push_back(tiny);
+  const FlowId tiny_id = 18;
+
+  const auto got = run_schedule<FlowNetwork>(caps, ops);
+  const auto want = run_schedule<ReferenceNetwork>(caps, ops);
+  for (const auto& [id, start] : small) {
+    ASSERT_EQ(got.finished.count(id), 1u) << "flow " << id;
+    const SimTime at = want.finished.at(id);
+    EXPECT_NEAR(got.finished.at(id), at, 1e-9 * at) << "flow " << id;
+    // ~131 ns at 2000 s: the duration itself must agree, not just the
+    // absolute time.  ulp(served) = 0.25 B bounds the error to ~1e-5.
+    EXPECT_NEAR(got.finished.at(id) - start, at - start, 1e-4 * (at - start))
+        << "flow " << id;
+  }
+  EXPECT_LE(got.events, 64u);
+  EXPECT_EQ(got.finished.at(tiny_id), want.finished.at(tiny_id));
+  EXPECT_NEAR(got.finished.at(tiny_id), 2200.0010003, 1e-9);
+  EXPECT_NEAR(got.cancelled, want.cancelled, 1.0);
+}
+
+// sim.flow.* roll-up: two classes, one wide and one narrow resource.
+// Start A {wide}: 1 round visiting 1 class.  Start B {wide, narrow}:
+// round 1 visits both and freezes B at 10 B/s, round 2 visits only A.
+// A finishes at t=1: 1 round, 1 visit for B.  B's finish leaves nothing
+// to solve.
+TEST(FlowNetwork, SolverWorkCountersRollIntoRegistry) {
+  auto& registry = obs::MetricsRegistry::global();
+  auto value = [&](const char* name) { return registry.counter(name).value(); };
+  const double solves = value("sim.flow.solves");
+  const double rounds = value("sim.flow.rounds");
+  const double visits = value("sim.flow.class_visits");
+  {
+    Simulator s;
+    FlowNetwork net(s);
+    const auto wide = net.add_resource("wide", 100.0);
+    const auto narrow = net.add_resource("narrow", 10.0);
+    net.start_flow({wide}, 90.0, nullptr);
+    net.start_flow({wide, narrow}, 100.0, nullptr);
+    s.run();
+    EXPECT_DOUBLE_EQ(s.now(), 10.0);
+    EXPECT_EQ(value("sim.flow.solves"), solves);  // rolled up once, at exit
+  }
+  EXPECT_EQ(value("sim.flow.solves") - solves, 3.0);
+  EXPECT_EQ(value("sim.flow.rounds") - rounds, 4.0);
+  EXPECT_EQ(value("sim.flow.class_visits") - visits, 5.0);
+}
 
 }  // namespace
 }  // namespace acic::sim

@@ -13,6 +13,7 @@
 #include "acic/apps/apps.hpp"
 #include "acic/common/table.hpp"
 #include "acic/io/runner.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace {
 
@@ -30,11 +31,9 @@ void ablate_nfs_cache() {
   const auto w = apps::flashio(64);
   cloud::IoConfig nfs = cloud::IoConfig::baseline();
   cloud::IoConfig pvfs;
-  pvfs.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(pvfs, 4, 4.0 * MiB);
   pvfs.device = storage::DeviceType::kEphemeral;
-  pvfs.io_servers = 4;
   pvfs.placement = cloud::Placement::kDedicated;
-  pvfs.stripe_size = 4.0 * MiB;
 
   TextTable t({"write-back cache", "NFS baseline (s)", "PVFS2 x4 (s)",
                "NFS wins?"});
@@ -55,12 +54,10 @@ void ablate_nfs_cache() {
 void ablate_stripe_cpu() {
   const auto w = apps::mpiblast(64);
   cloud::IoConfig fine, coarse;
-  fine.fs = coarse.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(fine, 4, 64.0 * KiB);
+  plugin::filesystem_named("pvfs2").configure(coarse, 4, 4.0 * MiB);
   fine.device = coarse.device = storage::DeviceType::kEphemeral;
-  fine.io_servers = coarse.io_servers = 4;
   fine.placement = coarse.placement = cloud::Placement::kDedicated;
-  fine.stripe_size = 64.0 * KiB;
-  coarse.stripe_size = 4.0 * MiB;
 
   TextTable t({"per-stripe cpu", "64 KiB stripe (s)", "4 MiB stripe (s)",
                "gap"});
@@ -81,11 +78,9 @@ void ablate_stripe_cpu() {
 void ablate_jitter_stability() {
   const auto w = apps::madbench2(64);
   cloud::IoConfig good;  // known-good: pvfs.4.D.eph
-  good.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(good, 4, 4.0 * MiB);
   good.device = storage::DeviceType::kEphemeral;
-  good.io_servers = 4;
   good.placement = cloud::Placement::kDedicated;
-  good.stripe_size = 4.0 * MiB;
   const auto bad = cloud::IoConfig::baseline();  // known-bad for this app
 
   int stable = 0;

@@ -10,28 +10,26 @@
 #include "acic/apps/apps.hpp"
 #include "acic/common/table.hpp"
 #include "acic/io/runner.hpp"
+#include "acic/plugin/substrates.hpp"
 #include "support.hpp"
 
 int main() {
   using namespace acic;
 
-  auto make = [](cloud::FileSystemType fs, int servers,
-                 cloud::Placement place) {
+  auto make = [](const char* fs, int servers, cloud::Placement place) {
     cloud::IoConfig c;
-    c.fs = fs;
+    plugin::filesystem_named(fs).configure(c, servers, 4.0 * MiB);
     c.device = storage::DeviceType::kEphemeral;
-    c.io_servers = servers;
     c.placement = place;
-    c.stripe_size = fs == cloud::FileSystemType::kPvfs2 ? 4.0 * MiB : 0.0;
     return c;
   };
   const std::vector<cloud::IoConfig> configs = {
-      make(cloud::FileSystemType::kNfs, 1, cloud::Placement::kDedicated),
-      make(cloud::FileSystemType::kNfs, 1, cloud::Placement::kPartTime),
-      make(cloud::FileSystemType::kPvfs2, 1, cloud::Placement::kDedicated),
-      make(cloud::FileSystemType::kPvfs2, 2, cloud::Placement::kDedicated),
-      make(cloud::FileSystemType::kPvfs2, 4, cloud::Placement::kDedicated),
-      make(cloud::FileSystemType::kPvfs2, 4, cloud::Placement::kPartTime),
+      make("nfs", 1, cloud::Placement::kDedicated),
+      make("nfs", 1, cloud::Placement::kPartTime),
+      make("pvfs2", 1, cloud::Placement::kDedicated),
+      make("pvfs2", 2, cloud::Placement::kDedicated),
+      make("pvfs2", 4, cloud::Placement::kDedicated),
+      make("pvfs2", 4, cloud::Placement::kPartTime),
   };
   const std::vector<int> scales = {16, 36, 64, 81, 100, 121};
 

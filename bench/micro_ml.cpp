@@ -10,6 +10,7 @@
 #include "acic/ior/ior.hpp"
 #include "acic/ml/cart.hpp"
 #include "acic/ml/knn.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace {
 
@@ -80,11 +81,9 @@ void BM_IorTrainingRun(benchmark::State& state) {
                      .segments(5)
                      .build();
   cloud::IoConfig cfg;
-  cfg.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(cfg, 4, 4.0 * MiB);
   cfg.device = storage::DeviceType::kEphemeral;
-  cfg.io_servers = 4;
   cfg.placement = cloud::Placement::kDedicated;
-  cfg.stripe_size = 4.0 * MiB;
   for (auto _ : state) {
     const auto r = ior::run_ior(w, cfg);
     benchmark::DoNotOptimize(r.total_time);

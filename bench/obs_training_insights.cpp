@@ -6,6 +6,7 @@
 #include "acic/common/table.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace {
 
@@ -14,19 +15,17 @@ using namespace acic;
 cloud::IoConfig pvfs(int servers, storage::DeviceType dev,
                      cloud::Placement place, Bytes stripe = 4.0 * MiB) {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, servers, stripe);
   c.device = dev;
-  c.io_servers = servers;
   c.placement = place;
-  c.stripe_size = stripe;
   return c;
 }
 
 io::RunResult run(const io::Workload& w, const cloud::IoConfig& c,
-                  double failures_per_hour = 0.0) {
+                  double outages_per_hour = 0.0) {
   io::RunOptions o;
   o.seed = 17;
-  o.failures_per_hour = failures_per_hour;
+  o.fault_model.outages_per_hour = outages_per_hour;
   return io::run_workload(w, c, o);
 }
 
@@ -88,10 +87,9 @@ void obs4_nfs_for_small_posix() {
                      .write_only()
                      .build();
   cloud::IoConfig nfs;
-  nfs.fs = cloud::FileSystemType::kNfs;
+  plugin::filesystem_named("nfs").configure(nfs);
   nfs.device = storage::DeviceType::kEphemeral;
   nfs.placement = cloud::Placement::kDedicated;
-  nfs.stripe_size = 0.0;
   const auto n = run(w, nfs);
   const auto p = run(w, pvfs(4, storage::DeviceType::kEphemeral,
                              cloud::Placement::kDedicated));
@@ -109,7 +107,7 @@ void obs5_failures_matter() {
   const auto cfg = pvfs(2, storage::DeviceType::kEphemeral,
                         cloud::Placement::kDedicated);
   const auto calm = run(w, cfg, 0.0);
-  const auto stormy = run(w, cfg, /*failures_per_hour=*/120.0);
+  const auto stormy = run(w, cfg, /*outages_per_hour=*/120.0);
   std::printf(
       "[obs 5] FLASHIO-64 with transient outages: %.1fs -> %.1fs "
       "(+%.0f%%); production runs must tolerate lost connections\n",

@@ -54,11 +54,9 @@ int main(int argc, char** argv) {
   cloud::IoConfig nfs_eph = nfs_ebs;
   nfs_eph.device = storage::DeviceType::kEphemeral;
   cloud::IoConfig pvfs4;
-  pvfs4.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(pvfs4, 4, 4.0 * MiB);
   pvfs4.device = storage::DeviceType::kEphemeral;
-  pvfs4.io_servers = 4;
   pvfs4.placement = cloud::Placement::kDedicated;
-  pvfs4.stripe_size = 4.0 * MiB;
   const std::vector<cloud::IoConfig> setups = {nfs_ebs, nfs_eph, pvfs4};
 
   // Build the whole 9-cell x 3-setup grid, run it as one deduplicating

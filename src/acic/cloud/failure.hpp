@@ -110,16 +110,8 @@ class FailureInjector {
   explicit FailureInjector(ClusterModel& cluster) : cluster_(cluster) {}
   ~FailureInjector();
 
-  enum class Target {
-    kServerNic,     ///< sever the server instance's network connectivity
-    kServerDevice,  ///< stall the server's storage device
-  };
-
   /// Schedule one fault.
   void inject(const FaultSpec& spec);
-
-  /// Legacy binary outage of `duration` seconds starting at `at`.
-  void inject(Target target, int server, SimTime at, SimTime duration);
 
   /// Correlated outage: every I/O server loses the chosen side for one
   /// shared window (a rack/AZ-level event).
@@ -128,10 +120,6 @@ class FailureInjector {
   /// Schedule a seeded random fault mix until `horizon` following
   /// `model`'s rates.  Deterministic for a given Rng state.
   void inject_random(Rng& rng, const FaultModel& model, SimTime horizon);
-
-  /// Legacy signature: outages only, at the given mean rate.
-  void inject_random(Rng& rng, double outages_per_hour, SimTime horizon,
-                     SimTime min_duration = 5.0, SimTime max_duration = 30.0);
 
   int scheduled_outages() const { return scheduled_; }
 

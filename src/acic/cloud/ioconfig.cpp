@@ -7,12 +7,6 @@
 
 namespace acic::cloud {
 
-const char* to_string(FileSystemType fs) {
-  // The registry's map nodes are address-stable, so the c_str() stays
-  // valid for the process lifetime (same contract as the old literals).
-  return plugin::filesystem_for(fs).display_name.c_str();
-}
-
 const char* to_string(Placement p) {
   switch (p) {
     case Placement::kPartTime:
@@ -23,22 +17,23 @@ const char* to_string(Placement p) {
   return "?";
 }
 
-FileSystemType fs_from_string(const std::string& s) {
-  // Throws plugin::PluginError listing the registered names.
-  return plugin::filesystem_named(s).type;
-}
-
 Placement placement_from_string(const std::string& s) {
   if (s == "part-time" || s == "P") return Placement::kPartTime;
   if (s == "dedicated" || s == "D") return Placement::kDedicated;
   throw Error("unknown placement: " + s);
 }
 
+const plugin::FilesystemPlugin* default_filesystem() {
+  // Resolved on first use, after static init has registered the seeds.
+  static const plugin::FilesystemPlugin* const nfs =
+      &plugin::filesystems().lookup("nfs");
+  return nfs;
+}
+
 bool IoConfig::valid() const {
   if (io_servers < 1) return false;
-  const auto& substrate = plugin::filesystem_for(fs);
-  if (substrate.single_server && io_servers != 1) return false;
-  if (!substrate.single_server && stripe_size <= 0.0) return false;
+  if (fs->single_server && io_servers != 1) return false;
+  if (!fs->single_server && stripe_size <= 0.0) return false;
   if (raid_members < 0) return false;
   return true;
 }
@@ -58,9 +53,8 @@ int IoConfig::effective_raid_members() const {
 
 std::string IoConfig::label() const {
   std::ostringstream os;
-  const auto& substrate = plugin::filesystem_for(fs);
-  os << substrate.label_stem;
-  if (!substrate.single_server) os << "." << io_servers;
+  os << fs->label_stem;
+  if (!fs->single_server) os << "." << io_servers;
   os << "." << (placement == Placement::kDedicated ? "D" : "P");
   os << ".";
   switch (device) {
@@ -74,7 +68,7 @@ std::string IoConfig::label() const {
       os << "ssd";
       break;
   }
-  if (!substrate.single_server) {
+  if (!fs->single_server) {
     os << (stripe_size >= MiB ? ".4M" : ".64K");
   }
   if (instance == InstanceType::kCc1_4xlarge) os << ".cc1";
@@ -84,7 +78,7 @@ std::string IoConfig::label() const {
 IoConfig IoConfig::baseline() {
   IoConfig c;
   c.device = storage::DeviceType::kEbs;
-  c.fs = FileSystemType::kNfs;
+  c.fs = default_filesystem();
   c.instance = InstanceType::kCc2_8xlarge;
   c.io_servers = 1;
   c.placement = Placement::kDedicated;

@@ -11,30 +11,30 @@
 #include "acic/common/units.hpp"
 #include "acic/storage/device.hpp"
 
-namespace acic::cloud {
+namespace acic::plugin {
+struct FilesystemPlugin;
+}  // namespace acic::plugin
 
-enum class FileSystemType {
-  kNfs,
-  kPvfs2,
-  /// Extension value beyond the paper's Table 1 grid (§3.1 names Lustre
-  /// as the parallel FS large clusters deploy; §8 plans such additions).
-  kLustre,
-};
+namespace acic::cloud {
 
 enum class Placement {
   kPartTime,   ///< I/O servers share instances with compute ranks.
   kDedicated,  ///< I/O servers run on their own (billed) instances.
 };
 
-const char* to_string(FileSystemType fs);
 const char* to_string(Placement p);
-FileSystemType fs_from_string(const std::string& s);
 Placement placement_from_string(const std::string& s);
+
+/// The registered "nfs" substrate: IoConfig's default file system.
+const plugin::FilesystemPlugin* default_filesystem();
 
 /// One point in the system-side configuration space.
 struct IoConfig {
   storage::DeviceType device = storage::DeviceType::kEbs;
-  FileSystemType fs = FileSystemType::kNfs;
+  /// The registered file-system substrate (plugin/substrates.hpp);
+  /// never null.  Its point_id is the numeric identity everywhere a
+  /// number is needed (RunKey, paramspace level).
+  const plugin::FilesystemPlugin* fs = default_filesystem();
   InstanceType instance = InstanceType::kCc2_8xlarge;
   int io_servers = 1;
   Placement placement = Placement::kDedicated;

@@ -34,7 +34,7 @@ std::vector<cloud::IoConfig> user_top3(const io::Workload& traits,
   out.push_back(user_choice(traits, objective));
   // Variant 2: hedge on the file system choice.
   cloud::IoConfig alt = out.front();
-  if (alt.fs == cloud::FileSystemType::kNfs) {
+  if (alt.fs == &plugin::filesystem_named("nfs")) {
     plugin::filesystem_named("pvfs2").configure(alt, 2, 4.0 * MiB);
   } else {
     plugin::filesystem_named("nfs").configure(alt);
@@ -75,7 +75,7 @@ std::vector<cloud::IoConfig> developer_top3(const io::Workload& traits,
   std::vector<cloud::IoConfig> out;
   out.push_back(developer_choice(traits, objective));
   cloud::IoConfig alt = out.front();
-  if (alt.fs == cloud::FileSystemType::kPvfs2) {
+  if (alt.fs == &plugin::filesystem_named("pvfs2")) {
     // Variant 2: max out the server count.
     alt.io_servers = 4;
   } else {

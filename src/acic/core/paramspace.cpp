@@ -146,7 +146,7 @@ cloud::IoConfig ParamSpace::config_of(const Point& p) {
                                      : storage::DeviceType::kSsd);
   // Level → substrate via nearest registered point_id (0 = NFS,
   // 1 = PVFS2, 2 = Lustre for the seeds; see ValueOverrides).
-  c.fs = plugin::filesystem_for_level(p[kFileSystem]).type;
+  c.fs = &plugin::filesystem_for_level(p[kFileSystem]);
   c.instance = p[kInstanceType] < 0.5 ? cloud::InstanceType::kCc1_4xlarge
                                       : cloud::InstanceType::kCc2_8xlarge;
   c.io_servers = static_cast<int>(p[kIoServers] + 0.5);
@@ -195,13 +195,12 @@ Point ParamSpace::encode(const cloud::IoConfig& config,
       p[kDevice] = 2;
       break;
   }
-  const auto& substrate = plugin::filesystem_for(config.fs);
-  p[kFileSystem] = substrate.point_id;
+  p[kFileSystem] = config.fs->point_id;
   p[kInstanceType] =
       config.instance == cloud::InstanceType::kCc1_4xlarge ? 0 : 1;
   p[kIoServers] = config.io_servers;
   p[kPlacement] = config.placement == cloud::Placement::kPartTime ? 0 : 1;
-  p[kStripeSize] = substrate.single_server ? 0.0 : config.stripe_size;
+  p[kStripeSize] = config.fs->single_server ? 0.0 : config.stripe_size;
   p[kNumProcs] = workload.num_processes;
   p[kNumIoProcs] = workload.num_io_processes;
   p[kInterface] = io::is_mpiio_family(workload.interface) ? 1 : 0;

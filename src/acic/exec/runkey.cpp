@@ -112,13 +112,11 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
   // zero) outside the parallel file systems, and a defaulted RAID member
   // count resolves to the same platform value an explicit spelling would.
   c.field("cfg.device", static_cast<int>(config.device));
-  c.field("cfg.fs", static_cast<int>(config.fs));
+  c.field("cfg.fs", static_cast<int>(config.fs->point_id));
   c.field("cfg.instance", static_cast<int>(config.instance));
   c.field("cfg.servers", config.io_servers);
   c.field("cfg.placement", static_cast<int>(config.placement));
-  c.field("cfg.stripe", plugin::filesystem_for(config.fs).single_server
-                            ? 0.0
-                            : config.stripe_size);
+  c.field("cfg.stripe", config.fs->single_server ? 0.0 : config.stripe_size);
   c.field("cfg.raid", config.effective_raid_members());
 
   // Plugin-declared knobs fold in under their own versioned sub-block.
@@ -127,10 +125,8 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
   // substrate's schema version participates so re-interpreting a knob
   // misses the cache instead of serving stale rows.
   if (!config.plugin_knobs.empty()) {
-    const auto& substrate = plugin::filesystem_for(config.fs);
     c.mark("cfg.knobs.v1");
-    c.field("cfg.knobs.schema",
-            static_cast<int>(substrate.schema.version));
+    c.field("cfg.knobs.schema", static_cast<int>(config.fs->schema.version));
     std::vector<std::pair<std::string, double>> knobs = config.plugin_knobs;
     std::sort(knobs.begin(), knobs.end());
     for (const auto& [name, value] : knobs) {
@@ -161,13 +157,9 @@ std::string canonical_run_fingerprint(const io::Workload& workload,
   c.field("o.jitter", options.jitter_sigma);
   c.field("o.watchdog", options.watchdog_sim_time);
 
-  // The legacy failures_per_hour shorthand merges into the fault model
-  // exactly as the runner merges it (the larger rate wins), and inert
-  // sub-blocks are skipped: probabilities that only shape outages cannot
-  // split keys when no outage is ever scheduled.
-  cloud::FaultModel faults = options.fault_model;
-  faults.outages_per_hour =
-      std::max(faults.outages_per_hour, options.failures_per_hour);
+  // Inert sub-blocks are skipped: probabilities that only shape outages
+  // cannot split keys when no outage is ever scheduled.
+  const cloud::FaultModel& faults = options.fault_model;
   if (faults.outages_per_hour > 0.0) {
     c.field("f.outages", faults.outages_per_hour);
     c.field("f.correlated", faults.correlated_outage_probability);

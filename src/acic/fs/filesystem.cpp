@@ -63,8 +63,7 @@ sim::Task FileSystem::resilient_transfer(cloud::ClusterModel& cluster,
 
 std::unique_ptr<FileSystem> make_filesystem(cloud::ClusterModel& cluster,
                                             const FsTuning& tuning) {
-  const auto& substrate =
-      plugin::filesystem_for(cluster.options().config.fs);
+  const plugin::FilesystemPlugin& substrate = *cluster.options().config.fs;
   auto fs = substrate.make(cluster, tuning);
   if (!fs) throw Error("filesystem plugin '" + substrate.name +
                        "' returned no model");

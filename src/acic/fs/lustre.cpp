@@ -125,7 +125,6 @@ ACIC_REGISTER_PLUGIN(lustre_filesystem) {
   p.display_name = "Lustre";
   p.label_stem = "lustre";
   p.aliases = {"Lustre"};
-  p.type = acic::cloud::FileSystemType::kLustre;
   p.point_id = 2.0;
   p.single_server = false;
   p.in_default_grid = false;

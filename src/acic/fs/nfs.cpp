@@ -145,7 +145,6 @@ ACIC_REGISTER_PLUGIN(nfs_filesystem) {
   p.display_name = "NFS";
   p.label_stem = "nfs";
   p.aliases = {"NFS"};
-  p.type = acic::cloud::FileSystemType::kNfs;
   p.point_id = 0.0;
   p.single_server = true;
   p.in_default_grid = true;

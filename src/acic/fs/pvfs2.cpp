@@ -125,7 +125,6 @@ ACIC_REGISTER_PLUGIN(pvfs2_filesystem) {
   p.display_name = "PVFS2";
   p.label_stem = "pvfs";
   p.aliases = {"PVFS2", "pvfs"};
-  p.type = acic::cloud::FileSystemType::kPvfs2;
   p.point_id = 1.0;
   p.single_server = false;
   p.in_default_grid = true;

@@ -45,10 +45,7 @@ RunResult run_workload(const Workload& workload,
   auto filesystem = fs::make_filesystem(cluster, options.tuning);
   ParallelIo middleware(cluster, mpi, *filesystem, options.tracer);
 
-  // Merge the legacy outage-rate shorthand into the full fault model.
-  cloud::FaultModel faults = options.fault_model;
-  faults.outages_per_hour =
-      std::max(faults.outages_per_hour, options.failures_per_hour);
+  const cloud::FaultModel& faults = options.fault_model;
 
   cloud::FailureInjector injector(cluster);
   if (faults.any()) {

@@ -25,8 +25,20 @@ namespace {
 std::string describe(ErrorCode code, Kind kind, const std::string& name,
                      const std::vector<std::string>& registered) {
   std::ostringstream os;
-  os << (code == ErrorCode::kDuplicateName ? "duplicate " : "unknown ")
-     << to_string(kind) << " '" << name << "' (registered: ";
+  switch (code) {
+    case ErrorCode::kDuplicateName:
+      os << "duplicate " << to_string(kind) << " '" << name << "'";
+      break;
+    case ErrorCode::kUnknownName:
+      os << "unknown " << to_string(kind) << " '" << name << "'";
+      break;
+    case ErrorCode::kInvalidPointId:
+      os << to_string(kind) << " '" << name
+         << "' needs a whole-number point_id >= 0 that no other "
+         << to_string(kind) << " holds";
+      break;
+  }
+  os << " (registered: ";
   if (registered.empty()) {
     os << "none";
   } else {

@@ -56,8 +56,10 @@ enum class Kind {
 const char* to_string(Kind kind);
 
 enum class ErrorCode {
-  kDuplicateName,  ///< add() of a name that is already registered
-  kUnknownName,    ///< lookup() of a name nobody registered
+  kDuplicateName,   ///< add() of a name that is already registered
+  kUnknownName,     ///< lookup() of a name nobody registered
+  kInvalidPointId,  ///< add() of a filesystem whose point_id is not a
+                    ///< whole number >= 0 or is already held
 };
 
 /// Typed registry failure.  The what() message lists the registered
@@ -127,24 +129,31 @@ std::vector<std::string> registration_errors();
 template <class Plugin>
 class Registry {
  public:
-  explicit Registry(Kind kind) : kind_(kind) {}
+  /// Kind-specific admission rule for add(): throws PluginError to
+  /// refuse `candidate` given the plugins already registered.
+  using Admit = void (*)(const Plugin& candidate,
+                         const std::vector<const Plugin*>& registered);
+
+  explicit Registry(Kind kind, Admit admit = nullptr)
+      : kind_(kind), admit_(admit) {}
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   /// Register `plugin` under its `name` member.  Throws PluginError
-  /// (kDuplicateName) when the name is taken; the registry is
-  /// unchanged in that case.
+  /// (kDuplicateName) when the name is taken, or whatever the kind's
+  /// admission rule throws; the registry is unchanged in either case.
   const Plugin& add(Plugin plugin) ACIC_EXCLUDES(mutex_) {
     ACIC_EXPECTS(!plugin.name.empty(), "plugin needs a non-empty name");
     MutexLock lock(&mutex_);
-    auto [it, inserted] = entries_.try_emplace(plugin.name, std::move(plugin));
-    if (!inserted) {
+    if (entries_.find(plugin.name) != entries_.end()) {
       detail::count_duplicate_registration();
-      throw PluginError(ErrorCode::kDuplicateName, kind_, it->first,
+      throw PluginError(ErrorCode::kDuplicateName, kind_, plugin.name,
                         names_locked());
     }
+    if (admit_ != nullptr) admit_(plugin, all_locked());
     detail::count_registration();
-    return it->second;
+    const std::string name = plugin.name;
+    return entries_.emplace(name, std::move(plugin)).first->second;
   }
 
   /// The plugin registered under `name`.  Throws PluginError
@@ -178,10 +187,7 @@ class Registry {
   /// pointers stay valid for the registry's lifetime.
   std::vector<const Plugin*> all() const ACIC_EXCLUDES(mutex_) {
     ReaderMutexLock lock(&mutex_);
-    std::vector<const Plugin*> out;
-    out.reserve(entries_.size());
-    for (const auto& [name, plugin] : entries_) out.push_back(&plugin);
-    return out;
+    return all_locked();
   }
 
   std::size_t size() const ACIC_EXCLUDES(mutex_) {
@@ -199,7 +205,15 @@ class Registry {
     return out;
   }
 
+  std::vector<const Plugin*> all_locked() const ACIC_REQUIRES_SHARED(mutex_) {
+    std::vector<const Plugin*> out;
+    out.reserve(entries_.size());
+    for (const auto& [name, plugin] : entries_) out.push_back(&plugin);
+    return out;
+  }
+
   const Kind kind_;
+  const Admit admit_;
   mutable Mutex mutex_;
   // std::map for two load-bearing properties: key-sorted iteration
   // (deterministic enumeration) and node stability (handed-out plugin

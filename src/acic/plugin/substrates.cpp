@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace acic::plugin {
@@ -13,7 +14,7 @@ bool FilesystemPlugin::matches(std::string_view spelling) const {
 
 void FilesystemPlugin::configure(cloud::IoConfig& config, int io_servers,
                                  Bytes stripe) const {
-  config.fs = type;
+  config.fs = this;
   if (single_server) {
     config.io_servers = 1;
     config.stripe_size = 0.0;
@@ -23,18 +24,32 @@ void FilesystemPlugin::configure(cloud::IoConfig& config, int io_servers,
   }
 }
 
-Registry<FilesystemPlugin>& filesystems() {
-  static Registry<FilesystemPlugin> registry(Kind::kFilesystem);
-  return registry;
+namespace {
+
+// A filesystem's point_id is its one numeric identity (RunKey cfg.fs as
+// an int, paramspace level), so it must be a whole number in [0, INT_MAX]
+// that no other filesystem holds.
+void admit_filesystem(const FilesystemPlugin& candidate,
+                      const std::vector<const FilesystemPlugin*>& registered) {
+  const double id = candidate.point_id;
+  const bool whole = id >= 0.0 && id <= std::numeric_limits<int>::max() &&
+                     id == std::floor(id);
+  const bool taken =
+      std::any_of(registered.begin(), registered.end(),
+                  [id](const FilesystemPlugin* p) { return p->point_id == id; });
+  if (whole && !taken) return;
+  std::vector<std::string> names;
+  for (const FilesystemPlugin* p : registered) names.push_back(p->name);
+  throw PluginError(ErrorCode::kInvalidPointId, Kind::kFilesystem,
+                    candidate.name, std::move(names));
 }
 
-const FilesystemPlugin& filesystem_for(cloud::FileSystemType type) {
-  for (const FilesystemPlugin* p : filesystems().all()) {
-    if (p->type == type) return *p;
-  }
-  throw PluginError(ErrorCode::kUnknownName, Kind::kFilesystem,
-                    "enum#" + std::to_string(static_cast<int>(type)),
-                    filesystems().names());
+}  // namespace
+
+Registry<FilesystemPlugin>& filesystems() {
+  static Registry<FilesystemPlugin> registry(Kind::kFilesystem,
+                                             &admit_filesystem);
+  return registry;
 }
 
 const FilesystemPlugin& filesystem_for_level(double level) {

@@ -1,13 +1,15 @@
 // The four substrate axes behind the plugin registry (DESIGN.md §14):
-// concrete plugin types, the process-wide registries holding them, and
-// the enum→plugin bridges the legacy call sites canonicalise through.
+// concrete plugin types and the process-wide registries holding them.
 //
 // Adding a substrate is one self-contained .cpp (see the README
 // "Adding a substrate" quickstart): fill in the plugin struct, declare
-// the knobs the substrate samples, and ACIC_REGISTER_PLUGIN it.  The
-// candidate enumeration, parameter-space grid, RunKey canonicalization,
-// service inventory, and protocol name parsing all pick it up from the
-// registry — no core surgery.
+// the knobs the substrate samples, and ACIC_REGISTER_PLUGIN it.  A
+// filesystem is identified by its registry entry alone: IoConfig::fs
+// points at it, and its point_id (a whole number no other filesystem
+// holds) is its numeric identity.  The candidate enumeration,
+// parameter-space grid, RunKey canonicalization, service inventory,
+// and protocol name parsing all pick it up from the registry — no core
+// surgery.
 #pragma once
 
 #include <cstdint>
@@ -38,16 +40,17 @@ struct FilesystemPlugin {
   /// Canonical lowercase name ("nfs", "pvfs2", "lustre") — the
   /// registry key and the protocol spelling.
   std::string name;
-  /// Display spelling, e.g. "PVFS2" (cloud::to_string compat).
+  /// Display spelling, e.g. "PVFS2".
   std::string display_name;
   /// Label prefix for IoConfig::label(), e.g. "pvfs" in "pvfs.4.D.eph".
   std::string label_stem;
-  /// Additional accepted spellings for fs_from_string().
+  /// Additional accepted spellings for filesystem_named().
   std::vector<std::string> aliases;
-  /// The legacy enum value this plugin canonicalises to/from.
-  cloud::FileSystemType type = cloud::FileSystemType::kNfs;
-  /// Numeric level of the kFileSystem paramspace dimension (the CART
-  /// feature encoding; 0 = NFS, 1 = PVFS2, 2 = Lustre for the seeds).
+  /// The filesystem's numeric identity: the level of the kFileSystem
+  /// paramspace dimension (the CART feature encoding) and the RunKey's
+  /// cfg.fs field; 0 = NFS, 1 = PVFS2, 2 = Lustre for the seeds.
+  /// Registration refuses a value that is not a whole number >= 0 or
+  /// that another filesystem already holds (kInvalidPointId).
   double point_id = 0.0;
   /// NFS-style topology: exactly one server, no striping.  Drives the
   /// validity rules, label shape, and RunKey stripe canonicalization.
@@ -76,16 +79,12 @@ struct FilesystemPlugin {
 /// Process-wide filesystem registry (seeded by fs/{nfs,pvfs2,lustre}.cpp).
 Registry<FilesystemPlugin>& filesystems();
 
-/// Enum→plugin bridge for legacy call sites and the RunKey shim.
-const FilesystemPlugin& filesystem_for(cloud::FileSystemType type);
-
 /// Paramspace-level→plugin bridge: nearest registered point_id (the
 /// same snapping rule ParamSpace::repaired applies to every dimension).
 const FilesystemPlugin& filesystem_for_level(double level);
 
 /// Name/alias→plugin parse; throws PluginError listing the registered
-/// names on a miss (the typed error behind fs_from_string and the
-/// service's fs= key).
+/// names on a miss (the typed error behind the service's fs= key).
 const FilesystemPlugin& filesystem_named(std::string_view spelling);
 
 /// Default-grid substrates in point_id order — the iteration order of

@@ -433,7 +433,7 @@ std::string QueryService::handle_recommend(const Engine& engine,
   if (fs_it != kv.end()) {
     const auto& substrate = plugin::filesystem_named(fs_it->second);
     for (const auto& c : cloud::IoConfig::enumerate_candidates()) {
-      if (c.fs == substrate.type) candidates.push_back(c);
+      if (c.fs == &substrate) candidates.push_back(c);
     }
     if (candidates.empty()) {
       throw Error("no candidate configs for filesystem '" + substrate.name +

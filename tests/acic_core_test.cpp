@@ -16,6 +16,7 @@
 #include "acic/common/stats.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ml/knn.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::core {
 namespace {
@@ -249,7 +250,7 @@ TEST(SpaceWalkerTest, GreedyWalkFindsPlantedOptimum) {
   auto probe = [](const cloud::IoConfig& c) {
     double v = 10.0;
     v += c.device == storage::DeviceType::kEphemeral ? 0.0 : 5.0;
-    v += c.fs == cloud::FileSystemType::kPvfs2 ? 0.0 : 3.0;
+    v += c.fs == &plugin::filesystem_named("pvfs2") ? 0.0 : 3.0;
     v += (4 - c.io_servers);
     v += c.placement == cloud::Placement::kDedicated ? 0.0 : 1.0;
     return v;
@@ -257,7 +258,7 @@ TEST(SpaceWalkerTest, GreedyWalkFindsPlantedOptimum) {
   const auto result =
       SpaceWalker::walk(probe, SpaceWalker::system_dims());
   EXPECT_EQ(result.best.device, storage::DeviceType::kEphemeral);
-  EXPECT_EQ(result.best.fs, cloud::FileSystemType::kPvfs2);
+  EXPECT_EQ(result.best.fs, &plugin::filesystem_named("pvfs2"));
   EXPECT_EQ(result.best.io_servers, 4);
   EXPECT_EQ(result.best.placement, cloud::Placement::kDedicated);
   EXPECT_GT(result.probes, 5);

@@ -10,6 +10,7 @@
 #include "acic/cloud/instance.hpp"
 #include "acic/cloud/ioconfig.hpp"
 #include "acic/common/error.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::cloud {
 namespace {
@@ -36,7 +37,7 @@ TEST(InstanceCatalogue, StringRoundTrip) {
 
 TEST(IoConfigTest, BaselineIsPaperBaseline) {
   const auto b = IoConfig::baseline();
-  EXPECT_EQ(b.fs, FileSystemType::kNfs);
+  EXPECT_EQ(b.fs, &plugin::filesystem_named("nfs"));
   EXPECT_EQ(b.device, storage::DeviceType::kEbs);
   EXPECT_EQ(b.placement, Placement::kDedicated);
   EXPECT_EQ(b.io_servers, 1);
@@ -49,8 +50,8 @@ TEST(IoConfigTest, ValidityRules) {
   IoConfig c = IoConfig::baseline();
   c.io_servers = 2;  // NFS cannot have two servers
   EXPECT_FALSE(c.valid());
-  c.fs = FileSystemType::kPvfs2;
-  c.stripe_size = 0.0;  // PVFS2 needs a stripe size
+  plugin::filesystem_named("pvfs2").configure(c, 2, 0.0);
+  // PVFS2 needs a stripe size
   EXPECT_FALSE(c.valid());
   c.stripe_size = 64.0 * KiB;
   EXPECT_TRUE(c.valid());
@@ -89,8 +90,7 @@ ClusterModel::Options opts(int np, IoConfig cfg) {
 TEST(ClusterModelTest, DedicatedServersAddInstances) {
   sim::Simulator s;
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
-  cfg.io_servers = 4;
+  plugin::filesystem_named("pvfs2").configure(cfg, 4);
   cfg.placement = Placement::kDedicated;
   cfg.device = storage::DeviceType::kEphemeral;
   ClusterModel cluster(s, opts(64, cfg));
@@ -104,8 +104,7 @@ TEST(ClusterModelTest, DedicatedServersAddInstances) {
 TEST(ClusterModelTest, PartTimeServersShareComputeInstances) {
   sim::Simulator s;
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
-  cfg.io_servers = 4;
+  plugin::filesystem_named("pvfs2").configure(cfg, 4);
   cfg.placement = Placement::kPartTime;
   cfg.device = storage::DeviceType::kEphemeral;
   ClusterModel cluster(s, opts(64, cfg));
@@ -120,8 +119,7 @@ TEST(ClusterModelTest, PartTimeServersShareComputeInstances) {
 TEST(ClusterModelTest, LocalWritePathSkipsNics) {
   sim::Simulator s;
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
-  cfg.io_servers = 1;
+  plugin::filesystem_named("pvfs2").configure(cfg, 1);
   cfg.placement = Placement::kPartTime;
   cfg.device = storage::DeviceType::kEphemeral;
   ClusterModel cluster(s, opts(32, cfg));
@@ -164,8 +162,7 @@ TEST(ClusterModelTest, CostFollowsEquationOne) {
 TEST(ClusterModelTest, PartTimeComputeTaxApplies) {
   sim::Simulator s;
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
-  cfg.io_servers = 1;
+  plugin::filesystem_named("pvfs2").configure(cfg, 1);
   cfg.placement = Placement::kPartTime;
   cfg.device = storage::DeviceType::kEphemeral;
   ClusterModel cluster(s, opts(32, cfg));
@@ -206,8 +203,7 @@ TEST(ClusterModelTest, RejectsInvalidConfig) {
 TEST(FailureInjectorTest, OutageStallsTransferThenRecovers) {
   sim::Simulator s;
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
-  cfg.io_servers = 1;
+  plugin::filesystem_named("pvfs2").configure(cfg, 1);
   cfg.placement = Placement::kDedicated;
   cfg.device = storage::DeviceType::kEphemeral;
   ClusterModel cluster(s, opts(16, cfg));
@@ -228,7 +224,11 @@ TEST(FailureInjectorTest, OutageStallsTransferThenRecovers) {
   SimTime done = -1;
   cluster.network().start_flow(cluster.write_path(0, 0), 100.0 * MiB,
                                [&] { done = s.now(); });
-  inj.inject(FailureInjector::Target::kServerDevice, 0, 0.05, 10.0);
+  FaultSpec outage;
+  outage.server = 0;
+  outage.at = 0.05;
+  outage.duration = 10.0;
+  inj.inject(outage);
   s.run();
   EXPECT_NEAR(done, done_no_fail + 10.0, 0.1);
   EXPECT_EQ(inj.scheduled_outages(), 1);
@@ -237,14 +237,15 @@ TEST(FailureInjectorTest, OutageStallsTransferThenRecovers) {
 TEST(FailureInjectorTest, RandomOutagesAreSeeded) {
   sim::Simulator s;
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
-  cfg.io_servers = 4;
+  plugin::filesystem_named("pvfs2").configure(cfg, 4);
   cfg.placement = Placement::kDedicated;
   cfg.device = storage::DeviceType::kEphemeral;
   ClusterModel cluster(s, opts(32, cfg));
   FailureInjector inj(cluster);
   Rng rng(99);
-  inj.inject_random(rng, /*outages_per_hour=*/60.0, /*horizon=*/kHour);
+  FaultModel model;
+  model.outages_per_hour = 60.0;
+  inj.inject_random(rng, model, /*horizon=*/kHour);
   EXPECT_GT(inj.scheduled_outages(), 20);
   EXPECT_LT(inj.scheduled_outages(), 180);
   s.run();  // all suppress/restore pairs must balance without throwing
@@ -252,11 +253,9 @@ TEST(FailureInjectorTest, RandomOutagesAreSeeded) {
 
 IoConfig chaos_config(int servers = 1) {
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
-  cfg.io_servers = servers;
+  plugin::filesystem_named("pvfs2").configure(cfg, servers, 1.0 * MiB);
   cfg.placement = Placement::kDedicated;
   cfg.device = storage::DeviceType::kEphemeral;
-  cfg.stripe_size = 1.0 * MiB;
   return cfg;
 }
 

@@ -9,6 +9,7 @@
 #include "acic/cloud/ioconfig.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/io/workload.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::io {
 namespace {
@@ -30,21 +31,17 @@ Workload probe_workload() {
 
 cloud::IoConfig nfs_config() {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kNfs;
+  plugin::filesystem_named("nfs").configure(c);
   c.device = storage::DeviceType::kEbs;
-  c.io_servers = 1;
   c.placement = cloud::Placement::kDedicated;
-  c.stripe_size = 4.0 * MiB;
   return c;
 }
 
 cloud::IoConfig pvfs_config() {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, 4, 1.0 * MiB);
   c.device = storage::DeviceType::kEphemeral;
-  c.io_servers = 4;
   c.placement = cloud::Placement::kPartTime;
-  c.stripe_size = 1.0 * MiB;
   return c;
 }
 
@@ -86,7 +83,8 @@ TEST(DeterminismTest, IdenticalRunsAreBitIdenticalOnPvfs2) {
   RunOptions options;
   options.seed = 1234;
   options.jitter_sigma = 0.06;
-  options.failures_per_hour = 2.0;  // fault injection must replay too
+  // fault injection must replay too
+  options.fault_model.outages_per_hour = 2.0;
   const RunResult first =
       run_workload(probe_workload(), pvfs_config(), options);
   const RunResult second =

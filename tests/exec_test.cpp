@@ -23,6 +23,7 @@
 #include "acic/io/runner.hpp"
 #include "acic/io/workload.hpp"
 #include "acic/ior/ior.hpp"
+#include "acic/plugin/substrates.hpp"
 #include "acic/profiler/tracer.hpp"
 
 namespace acic {
@@ -125,15 +126,6 @@ TEST(RunKeyTest, EquivalentSpellingsShareOneKey) {
   EXPECT_EQ(exec::run_key(w, cfg, poszero),
             exec::run_key(w, cfg, negzero));
 
-  // The legacy failures_per_hour shorthand is the same run as the
-  // explicit fault-model spelling the runner merges it into.
-  io::RunOptions shorthand = opts;
-  shorthand.failures_per_hour = 2.0;
-  io::RunOptions explicit_model = opts;
-  explicit_model.fault_model.outages_per_hour = 2.0;
-  EXPECT_EQ(exec::run_key(w, cfg, shorthand),
-            exec::run_key(w, cfg, explicit_model));
-
   // Inert fault shape: brownout_fraction is meaningless while the
   // brownout rate is zero.
   io::RunOptions inert = opts;
@@ -190,8 +182,7 @@ TEST(RunKeyTest, DistinctBehavioursGetDistinctKeys) {
   EXPECT_NE(base, exec::run_key(w, cfg, priced));
 
   cloud::IoConfig pvfs;
-  pvfs.fs = cloud::FileSystemType::kPvfs2;
-  pvfs.io_servers = 4;
+  plugin::filesystem_named("pvfs2").configure(pvfs, 4);
   EXPECT_NE(base, exec::run_key(w, pvfs, opts));
 
   io::Workload bigger = w;
@@ -247,8 +238,7 @@ TEST(ExecutorCacheTest, RealSimulatorColdVsWarmIsBitIdentical) {
   exec::Executor engine;
   const auto w = ior::IorBench().tasks(8).segments(2).build();
   cloud::IoConfig pvfs;
-  pvfs.fs = cloud::FileSystemType::kPvfs2;
-  pvfs.io_servers = 2;
+  plugin::filesystem_named("pvfs2").configure(pvfs, 2);
   io::RunOptions opts;
   opts.seed = 7;
   opts.jitter_sigma = 0.06;
@@ -273,11 +263,9 @@ TEST(ExecutorCacheTest, PreemptedRunReplaysGradedOutcomeFromCache) {
   w.iterations = 4;
   w.data_size = 512.0 * MiB;  // long enough for reclaims to land mid-run
   cloud::IoConfig pvfs;
-  pvfs.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(pvfs, 4, 1.0 * MiB);
   pvfs.device = storage::DeviceType::kEphemeral;
-  pvfs.io_servers = 4;
   pvfs.placement = cloud::Placement::kDedicated;
-  pvfs.stripe_size = 1.0 * MiB;
   io::RunOptions opts;
   opts.seed = 6;  // this schedule preempts and recovers within budget
   opts.fault_model.preemptions_per_hour = 60.0;
@@ -401,8 +389,7 @@ TEST(ExecutorCacheTest, StaleModelStampSidelinesStoreAndResimulates) {
   std::vector<exec::RunRequest> requests;
   for (int servers : {1, 2, 4}) {
     cloud::IoConfig cfg;
-    cfg.fs = cloud::FileSystemType::kPvfs2;
-    cfg.io_servers = servers;
+    plugin::filesystem_named("pvfs2").configure(cfg, servers);
     requests.push_back({test_workload(), cfg, io::RunOptions{}});
   }
   {
@@ -573,8 +560,7 @@ TEST(ExecConcurrency, BatchCollapsesDuplicateKeysToOneSimulation) {
   const auto w = test_workload();
   const cloud::IoConfig cfg = cloud::IoConfig::baseline();
   cloud::IoConfig pvfs;
-  pvfs.fs = cloud::FileSystemType::kPvfs2;
-  pvfs.io_servers = 4;
+  plugin::filesystem_named("pvfs2").configure(pvfs, 4);
 
   // 32 requests over only two distinct keys, interleaved.
   std::vector<exec::RunRequest> requests;

@@ -6,6 +6,7 @@
 
 #include "acic/fs/filesystem.hpp"
 #include "acic/fs/pvfs2.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::fs {
 namespace {
@@ -22,11 +23,9 @@ cloud::IoConfig pvfs_cfg(int servers, Bytes stripe,
                          cloud::Placement placement =
                              cloud::Placement::kDedicated) {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, servers, stripe);
   c.device = storage::DeviceType::kEphemeral;
-  c.io_servers = servers;
   c.placement = placement;
-  c.stripe_size = stripe;
   return c;
 }
 

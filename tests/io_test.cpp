@@ -6,6 +6,7 @@
 #include "acic/io/middleware.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/io/workload.hpp"
+#include "acic/plugin/substrates.hpp"
 #include "acic/profiler/tracer.hpp"
 
 namespace acic::io {
@@ -28,11 +29,9 @@ Workload small_workload() {
 
 cloud::IoConfig pvfs4() {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, 4, 4.0 * MiB);
   c.device = storage::DeviceType::kEphemeral;
-  c.io_servers = 4;
   c.placement = cloud::Placement::kDedicated;
-  c.stripe_size = 4.0 * MiB;
   return c;
 }
 
@@ -165,7 +164,8 @@ TEST(RunnerTest, FailureInjectionSlowsTheRun) {
   w.iterations = 4;
   RunOptions calm = quiet();
   RunOptions stormy = quiet();
-  stormy.failures_per_hour = 2000.0;  // aggressive to hit a short run
+  // aggressive to hit a short run
+  stormy.fault_model.outages_per_hour = 2000.0;
   const auto a = run_workload(w, pvfs4(), calm);
   const auto b = run_workload(w, pvfs4(), stormy);
   EXPECT_GT(b.total_time, a.total_time);

@@ -7,23 +7,22 @@
 #include "acic/fs/lustre.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::fs {
 namespace {
 
 cloud::IoConfig lustre_cfg(int servers, Bytes stripe = 4.0 * MiB) {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kLustre;
+  plugin::filesystem_named("lustre").configure(c, servers, stripe);
   c.device = storage::DeviceType::kEphemeral;
-  c.io_servers = servers;
   c.placement = cloud::Placement::kDedicated;
-  c.stripe_size = stripe;
   return c;
 }
 
 cloud::IoConfig pvfs_cfg(int servers) {
   auto c = lustre_cfg(servers);
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, servers);
   return c;
 }
 
@@ -31,8 +30,9 @@ TEST(LustreTest, ConfigPlumbing) {
   const auto c = lustre_cfg(4);
   EXPECT_TRUE(c.valid());
   EXPECT_EQ(c.label(), "lustre.4.D.eph.4M");
-  EXPECT_EQ(cloud::fs_from_string("lustre"), cloud::FileSystemType::kLustre);
-  EXPECT_STREQ(cloud::to_string(cloud::FileSystemType::kLustre), "Lustre");
+  EXPECT_EQ(c.fs, &plugin::filesystem_named("lustre"));
+  EXPECT_EQ(&plugin::filesystem_named("Lustre"), c.fs);
+  EXPECT_EQ(c.fs->display_name, "Lustre");
   // Needs a stripe size like any striped FS.
   auto bad = c;
   bad.stripe_size = 0.0;
@@ -52,7 +52,7 @@ TEST(LustreTest, FactoryAndParamSpaceRoundTrip) {
       lustre_cfg(2), core::ParamSpace::workload_of(core::default_point()));
   EXPECT_DOUBLE_EQ(p[core::kFileSystem], 2.0);
   EXPECT_EQ(core::ParamSpace::config_of(p).fs,
-            cloud::FileSystemType::kLustre);
+            &plugin::filesystem_named("lustre"));
 }
 
 TEST(LustreTest, StripingScalesLikeAParallelFs) {

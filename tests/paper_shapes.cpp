@@ -10,6 +10,7 @@
 #include "acic/cloud/ioconfig.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic {
 namespace {
@@ -17,11 +18,9 @@ namespace {
 cloud::IoConfig pvfs(int servers, storage::DeviceType dev,
                      cloud::Placement place) {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, servers, 4.0 * MiB);
   c.device = dev;
-  c.io_servers = servers;
   c.placement = place;
-  c.stripe_size = 4.0 * MiB;
   return c;
 }
 
@@ -79,10 +78,9 @@ TEST(PaperShapes, NfsFasterThanPvfs4ForSmallPosixWrites) {
                      .write_only()
                      .build();
   cloud::IoConfig nfs;
-  nfs.fs = cloud::FileSystemType::kNfs;
+  plugin::filesystem_named("nfs").configure(nfs);
   nfs.device = DeviceType::kEphemeral;
   nfs.placement = Placement::kDedicated;
-  nfs.stripe_size = 0.0;
   const auto n = run(w, nfs);
   const auto p = run(w, pvfs(4, DeviceType::kEphemeral, Placement::kDedicated));
   EXPECT_LT(n.total_time, p.total_time);

@@ -115,16 +115,16 @@ TEST(PluginRegistryTest, SeedSubstratesAreRegistered) {
 }
 
 TEST(PluginRegistryTest, FilesystemBridgesAgree) {
-  const auto& nfs = filesystem_for(cloud::FileSystemType::kNfs);
+  const auto& nfs = filesystem_named("nfs");
   EXPECT_EQ(nfs.name, "nfs");
+  EXPECT_EQ(cloud::IoConfig().fs, &nfs);  // the default substrate
   EXPECT_TRUE(nfs.single_server);
   EXPECT_TRUE(nfs.matches("NFS"));
   const auto& pvfs = filesystem_named("PVFS2");  // display-name spelling
   EXPECT_EQ(pvfs.name, "pvfs2");
-  EXPECT_EQ(&pvfs, &filesystem_for(cloud::FileSystemType::kPvfs2));
+  EXPECT_EQ(&pvfs, &filesystem_named("pvfs"));  // alias spelling
   EXPECT_EQ(&filesystem_for_level(0.2), &nfs);   // snaps to nearest
-  EXPECT_EQ(&filesystem_for_level(2.4),
-            &filesystem_for(cloud::FileSystemType::kLustre));
+  EXPECT_EQ(&filesystem_for_level(2.4), &filesystem_named("lustre"));
 
   // Lustre is registered but outside the paper's Table 1 grid.
   const auto grid = default_grid_filesystems();

@@ -12,6 +12,7 @@
 #include "acic/io/checkpoint.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/io/workload.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::io {
 namespace {
@@ -36,11 +37,9 @@ Workload spot_workload(int np = 16) {
 
 cloud::IoConfig pvfs4() {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, 4, 1.0 * MiB);
   c.device = storage::DeviceType::kEphemeral;
-  c.io_servers = 4;
   c.placement = cloud::Placement::kDedicated;
-  c.stripe_size = 1.0 * MiB;
   return c;
 }
 

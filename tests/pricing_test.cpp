@@ -5,6 +5,7 @@
 #include "acic/cloud/pricing.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
+#include "acic/plugin/substrates.hpp"
 
 namespace acic::cloud {
 namespace {
@@ -20,11 +21,9 @@ ClusterModel::Options opts(int np, IoConfig cfg) {
 TEST(DetailedPricingTest, NoSurchargeForLocalDisks) {
   sim::Simulator s;
   IoConfig cfg;
-  cfg.fs = FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(cfg, 4, 4.0 * MiB);
   cfg.device = storage::DeviceType::kEphemeral;
-  cfg.io_servers = 4;
   cfg.placement = Placement::kDedicated;
-  cfg.stripe_size = 4.0 * MiB;
   ClusterModel cluster(s, opts(32, cfg));
   DetailedPricing pricing;
   EXPECT_DOUBLE_EQ(pricing.ebs_surcharge(cluster, kHour, 1000000), 0.0);
@@ -49,11 +48,9 @@ TEST(DetailedPricingTest, ScalesWithServersAndMembers) {
   sim::Simulator s1, s2;
   IoConfig one = IoConfig::baseline();
   IoConfig four;
-  four.fs = FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(four, 4, 4.0 * MiB);
   four.device = storage::DeviceType::kEbs;
-  four.io_servers = 4;
   four.placement = Placement::kDedicated;
-  four.stripe_size = 4.0 * MiB;
   ClusterModel c1(s1, opts(32, one)), c4(s2, opts(32, four));
   DetailedPricing pricing;
   // 4 servers x 2 volumes vs 1 server x 2 volumes: 4x capacity charge.

@@ -8,6 +8,7 @@
 #include "acic/io/runner.hpp"
 #include "acic/ior/ior.hpp"
 #include "acic/core/paramspace.hpp"
+#include "acic/plugin/substrates.hpp"
 #include "acic/simcore/flow.hpp"
 #include <algorithm>
 
@@ -69,11 +70,9 @@ TEST(Regression, CoalescedPvfsChargesOriginalRequestCount) {
                   .transfer_size(256.0 * KiB)
                   .file_per_process(true);
   cloud::IoConfig cfg;
-  cfg.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(cfg, 4, 4.0 * MiB);
   cfg.device = storage::DeviceType::kEphemeral;
-  cfg.io_servers = 4;
   cfg.placement = cloud::Placement::kDedicated;
-  cfg.stripe_size = 4.0 * MiB;
   io::RunOptions o;
   o.jitter_sigma = 0.0;
 

@@ -4,6 +4,7 @@
 
 #include "acic/apps/apps.hpp"
 #include "acic/common/error.hpp"
+#include "acic/plugin/substrates.hpp"
 #include "acic/profiler/replay.hpp"
 
 namespace acic::profiler {
@@ -11,11 +12,9 @@ namespace {
 
 cloud::IoConfig pvfs4() {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, 4, 4.0 * MiB);
   c.device = storage::DeviceType::kEphemeral;
-  c.io_servers = 4;
   c.placement = cloud::Placement::kDedicated;
-  c.stripe_size = 4.0 * MiB;
   return c;
 }
 

@@ -10,6 +10,7 @@
 
 #include "acic/common/error.hpp"
 #include "acic/obs/metrics.hpp"
+#include "acic/plugin/substrates.hpp"
 #include "acic/service/query_service.hpp"
 
 namespace acic::service {
@@ -31,7 +32,7 @@ core::TrainingDatabase synthetic_db() {
       p = core::ParamSpace::repaired(p);
       core::TrainingSample s;
       s.point = p;
-      const bool good = cfg.fs == cloud::FileSystemType::kPvfs2 &&
+      const bool good = cfg.fs == &plugin::filesystem_named("pvfs2") &&
                         cfg.io_servers == 4 &&
                         cfg.device == storage::DeviceType::kEphemeral;
       s.baseline_time = 100.0;

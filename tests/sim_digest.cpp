@@ -69,11 +69,9 @@ Workload probe(int np, Bytes data, OpMix op, bool collective) {
 cloud::IoConfig pvfs(int servers, storage::DeviceType dev,
                      cloud::Placement place) {
   cloud::IoConfig c;
-  c.fs = cloud::FileSystemType::kPvfs2;
+  plugin::filesystem_named("pvfs2").configure(c, servers, 1.0 * MiB);
   c.device = dev;
-  c.io_servers = servers;
   c.placement = place;
-  c.stripe_size = 1.0 * MiB;
   return c;
 }
 

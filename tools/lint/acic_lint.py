@@ -41,18 +41,16 @@ express, enforced over `src/acic`:
                    justification comment on the same line or within the
                    two preceding lines.
 
-  plugin-dispatch  Substrate dispatch belongs to the plugin registry
-                   (src/acic/plugin/, DESIGN.md §14): `switch`-style
-                   `case FileSystemType::...` branching and direct
-                   construction of concrete learners
-                   (std::make_unique<CartTree/ForestRegressor/
-                   KnnRegressor/LinearRegressor>) are banned outside the
-                   plugin layer and the substrates' own homes (the
-                   learner implementations in src/acic/ml/ construct
-                   themselves inside their registration blocks).
-                   Everything else resolves substrates by name through
-                   acic::plugin so out-of-tree registrations are picked
-                   up everywhere at once.
+  plugin-dispatch  Learner construction belongs to the plugin registry
+                   (src/acic/plugin/, DESIGN.md §14): direct construction
+                   of concrete learners (std::make_unique<CartTree/
+                   ForestRegressor/KnnRegressor/LinearRegressor>) is
+                   banned outside the plugin layer and the learners' own
+                   home (src/acic/ml/, where each constructs itself
+                   inside its registration block).  Everything else
+                   resolves learners by name through acic::plugin so
+                   out-of-tree registrations are picked up everywhere
+                   at once.
 
 Engines: the primary engine is textual (comment/string-aware token
 scanning) and needs nothing beyond the Python standard library.  When the
@@ -94,15 +92,10 @@ RAW_MUTEX_ALLOWED = {
 RAW_IO_ALLOWED_FILES = {"src/acic/exec/store.cpp"}
 RAW_IO_ALLOWED_DIRS = ("src/acic/common/",)
 
-# Directories where substrate dispatch / concrete-learner construction is
-# legal: the registry layer itself and the learner implementations (each
-# constructs itself inside its ACIC_REGISTER_PLUGIN block).
+# Directories where concrete-learner construction is legal: the registry
+# layer itself and the learner implementations (each constructs itself
+# inside its ACIC_REGISTER_PLUGIN block).
 PLUGIN_DISPATCH_ALLOWED_DIRS = ("src/acic/plugin/", "src/acic/ml/")
-
-# `case FileSystemType::kNfs:`-style enum dispatch — the pattern the
-# registry refactor removed; a new one means a substrate axis is being
-# rewired around the plugin layer.
-FS_SWITCH_DISPATCH = re.compile(r"\bcase\s+(?:cloud\s*::\s*)?FileSystemType\s*::")
 
 # Direct construction of a concrete learner outside its home.
 LEARNER_CONSTRUCTION = re.compile(
@@ -420,13 +413,6 @@ def check_file_textual(root: str, path: str, table: Optional[str],
 
     # --- plugin-dispatch ---------------------------------------------
     if not relpath.startswith(PLUGIN_DISPATCH_ALLOWED_DIRS):
-        for m in FS_SWITCH_DISPATCH.finditer(stripped):
-            findings.append(Finding(
-                relpath, line_of(stripped, m.start()), RULE_PLUGIN_DISPATCH,
-                "switch dispatch on FileSystemType outside the plugin "
-                "layer; resolve the substrate through acic::plugin"
-                "::filesystem_for / filesystem_named (plugin/substrates"
-                ".hpp) so registered filesystems are honoured everywhere"))
         for m in LEARNER_CONSTRUCTION.finditer(stripped):
             findings.append(Finding(
                 relpath, line_of(stripped, m.start()), RULE_PLUGIN_DISPATCH,

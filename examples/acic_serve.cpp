@@ -2,7 +2,8 @@
 // acic::service::QueryService.  Two transports:
 //
 //  * stdin/stdout (default): protocol lines are read until EOF or
-//    "quit", answered in parallel batches (QueryService::serve).
+//    "quit", each answered in order before the next is read
+//    (QueryService::serve).
 //  * --listen host:port: the acic::net epoll front end — framed
 //    requests over TCP with backpressure, idle deadlines, bounded
 //    dispatch, and graceful drain (see src/acic/net/server.hpp).
@@ -10,7 +11,7 @@
 //
 // Usage:
 //   example_acic_serve [training_db.csv] [--listen host:port]
-//                      [--threads N] [--batch N] [--max-inflight N]
+//                      [--threads N] [--max-inflight N]
 //                      [--deadline-us X] [--idle-ms N] [--drain-ms N]
 //                      [--max-conns N] [--net-queue N] [--quick]
 //                      [--demo] [--help]
@@ -19,7 +20,8 @@
 // ones get a typed "shed ..." response instead of queuing.  --deadline-us
 // arms the per-request compute deadline ("timeout ..." responses); in
 // --listen mode the clock starts when the frame arrives, so queue wait
-// counts.  --quick skips PB screening and model training (identity
+// counts.  --threads sizes the --listen worker pool (0 = hardware
+// concurrency).  --quick skips PB screening and model training (identity
 // ranking, empty database → fallback answers) so smoke tests and the CI
 // loopback job start in milliseconds instead of minutes.
 //
@@ -27,7 +29,7 @@
 // SIGINT/SIGTERM route into the drain path — in --listen mode the
 // listener closes, in-flight requests finish under the drain deadline,
 // and the process exits 0; in stdin mode the blocking read is
-// interrupted, the final batch is flushed, and the process exits 0.
+// interrupted and the process exits 0.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -48,15 +50,16 @@ namespace {
 void print_usage() {
   std::printf(
       "usage: example_acic_serve [training_db.csv] [--listen host:port]\n"
-      "                          [--threads N] [--batch N]\n"
+      "                          [--threads N]\n"
       "                          [--max-inflight N] [--deadline-us X]\n"
       "                          [--idle-ms N] [--drain-ms N]\n"
       "                          [--max-conns N] [--net-queue N]\n"
       "                          [--learner NAME[,NAME...]]\n"
       "                          [--quick] [--demo] [--help]\n"
-      "  Serves the line-oriented ACIC query protocol from stdin across a\n"
-      "  thread pool; 'help' on the stream lists the protocol verbs.\n"
+      "  Serves the line-oriented ACIC query protocol from stdin, one\n"
+      "  answer per line in order; 'help' on the stream lists the verbs.\n"
       "  --listen host:port  framed-TCP front end instead of stdin\n"
+      "  --threads N       net: worker pool size (0 = hardware)\n"
       "  --max-inflight N  shed requests beyond N in flight (0 = off)\n"
       "  --deadline-us X   per-request deadline incl. queue wait (0 = off)\n"
       "  --idle-ms N       net: idle/slow-loris/write-stall deadline\n"
@@ -80,8 +83,7 @@ void print_usage() {
 // Signal routing: handlers may only touch async-signal-safe state.  In
 // --listen mode they forward into Server::request_drain() (an atomic
 // store plus send() on the wake socketpair); in stdin mode the unblocked
-// read returns EINTR, std::getline fails, and serve() flushes the final
-// batch on its way out.
+// read returns EINTR, std::getline fails, and serve() returns.
 std::sig_atomic_t g_stop_requested = 0;
 acic::net::Server* g_server = nullptr;
 
@@ -119,8 +121,6 @@ int main(int argc, char** argv) {
 
   std::string db_path;
   std::string listen_spec;
-  unsigned threads = 0;  // hardware concurrency
-  std::size_t batch = 64;
   bool demo = false;
   bool quick = false;
   service::ServiceOptions service_options;
@@ -137,9 +137,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--listen" && i + 1 < argc) {
       listen_spec = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--batch" && i + 1 < argc) {
-      batch = static_cast<std::size_t>(std::atoi(argv[++i]));
+      net_options.workers = static_cast<unsigned>(std::atoi(argv[++i]));
     } else if (arg == "--max-inflight" && i + 1 < argc) {
       service_options.max_in_flight =
           static_cast<std::size_t>(std::atoi(argv[++i]));
@@ -176,7 +174,6 @@ int main(int argc, char** argv) {
       db_path = arg;
     }
   }
-  net_options.workers = threads;
 
   install_signal_handlers();
 
@@ -226,8 +223,8 @@ int main(int argc, char** argv) {
   }
 
   if (demo) {
-    // A mixed burst of concurrent clients: the same requests a load
-    // balancer would fan in, answered as one parallel batch.
+    // A mixed burst: the requests a load balancer would fan in, eight
+    // rounds of them, so the stats block below has counts to show.
     const std::vector<std::string> burst = {
         "recommend objective=performance top_k=3 np=256 io_procs=256 "
         "interface=MPI-IO iterations=40 data=4MiB request=4MiB op=write "
@@ -240,13 +237,13 @@ int main(int argc, char** argv) {
         "op=read+write shared=yes",
         "rank top=5",
     };
-    std::vector<std::string> requests;
     for (int repeat = 0; repeat < 8; ++repeat) {
-      requests.insert(requests.end(), burst.begin(), burst.end());
-    }
-    const auto responses = service->handle_batch(requests, threads);
-    for (std::size_t i = 0; i < burst.size(); ++i) {
-      std::printf("> %s\n%s", requests[i].c_str(), responses[i].c_str());
+      for (const auto& request : burst) {
+        const std::string response = service->handle(request);
+        if (repeat == 0) {
+          std::printf("> %s\n%s", request.c_str(), response.c_str());
+        }
+      }
     }
     std::printf("> stats\n%s", service->handle("stats").c_str());
     return 0;
@@ -286,11 +283,8 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "[serve] ready — protocol lines on stdin.\n");
-  const std::size_t served = service->serve(std::cin, std::cout, threads,
-                                           batch);
-  if (g_stop_requested) {
-    std::fprintf(stderr, "[serve] stop signal: final batch flushed.\n");
-  }
+  const std::size_t served = service->serve(std::cin, std::cout);
+  if (g_stop_requested) std::fprintf(stderr, "[serve] stop signal.\n");
   std::fprintf(stderr, "[serve] served %zu requests; final metrics:\n%s",
                served,
                obs::MetricsRegistry::global().snapshot().to_text("  ").c_str());

@@ -35,6 +35,7 @@
 // stays byte-comparable between cold and warm runs.
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "acic/io/runner.hpp"
 #include "acic/obs/metrics.hpp"
 #include "acic/plugin/substrates.hpp"
+#include "acic/service/query_service.hpp"
 
 namespace {
 
@@ -136,7 +138,11 @@ int main(int argc, char** argv) {
         app = arg;
         ++positional;
       } else if (positional == 1) {
-        np = std::stoi(arg);
+        const std::size_t n = service::parse_count("np", arg);
+        if (n > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+          throw Error("np='" + arg + "' is out of range");
+        }
+        np = static_cast<int>(n);
         ++positional;
       } else {
         label = arg;

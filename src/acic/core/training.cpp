@@ -88,15 +88,12 @@ CsvTable TrainingDatabase::to_csv() const {
 
 TrainingDatabase TrainingDatabase::from_csv(const CsvTable& table) {
   TrainingDatabase db;
-  // Two accepted arities: the legacy layout (measurements only) and the
-  // provenance layout with repeats/rejected/retries appended.  Legacy
-  // databases keep loading unchanged; their provenance defaults to one
-  // clean single-shot measurement per row.
-  const bool provenance = table.header.size() ==
-                          static_cast<std::size_t>(kNumDims) + 8;
-  ACIC_CHECK_MSG(provenance || table.header.size() ==
-                                   static_cast<std::size_t>(kNumDims) + 5,
-                 "unexpected training CSV header arity");
+  // One accepted layout: the measurements plus their provenance
+  // (sequence, repeats, rejected, retries), as to_csv() writes it.
+  constexpr std::size_t kColumns = static_cast<std::size_t>(kNumDims) + 8;
+  ACIC_CHECK_MSG(table.header.size() == kColumns,
+                 "training CSV header has " << table.header.size()
+                     << " columns, expected " << kColumns);
   std::size_t row_number = 0;
   for (const auto& row : table.rows) {
     ++row_number;
@@ -110,11 +107,9 @@ TrainingDatabase TrainingDatabase::from_csv(const CsvTable& table) {
       s.cost = std::stod(row[kNumDims + 1]);
       s.baseline_time = std::stod(row[kNumDims + 2]);
       s.baseline_cost = std::stod(row[kNumDims + 3]);
-      if (provenance) {
-        s.repeats = std::stoi(row[kNumDims + 5]);
-        s.rejected = std::stoi(row[kNumDims + 6]);
-        s.retries = std::stoi(row[kNumDims + 7]);
-      }
+      s.repeats = std::stoi(row[kNumDims + 5]);
+      s.rejected = std::stoi(row[kNumDims + 6]);
+      s.retries = std::stoi(row[kNumDims + 7]);
     } catch (const std::logic_error&) {
       // std::stod's bare "stod" message names neither the row nor the
       // cell; rewrap so a corrupt shared database is diagnosable.

@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "acic/common/error.hpp"
-#include "acic/common/parallel.hpp"
 #include "acic/exec/executor.hpp"
 #include "acic/io/runner.hpp"
 #include "acic/plugin/substrates.hpp"
@@ -284,10 +283,6 @@ const QueryService::VerbMetrics& QueryService::metrics_for(
   return other_metrics_;
 }
 
-std::string QueryService::handle(const std::string& request_line) {
-  return handle(request_line, std::chrono::steady_clock::now());
-}
-
 std::string QueryService::handle(
     const std::string& request_line,
     std::chrono::steady_clock::time_point admitted_at) {
@@ -318,10 +313,9 @@ std::string QueryService::handle(
         .count();
   };
   // Deadline gate #1, before the verb runs: a request that burned its
-  // whole budget waiting (in a socket-layer queue, or behind a slow
-  // batch neighbour) is answered without doing the work — under
-  // overload, computing an answer nobody is waiting for anymore only
-  // deepens the overload.
+  // whole budget waiting (in the network transport's dispatch queue) is
+  // answered without doing the work — under overload, computing an
+  // answer nobody is waiting for anymore only deepens the overload.
   if (options_.deadline_us > 0.0) {
     const double waited_us = elapsed_us_since(admitted_at);
     if (waited_us > options_.deadline_us) {
@@ -372,43 +366,15 @@ std::string QueryService::dispatch(const std::string& verb,
   }
 }
 
-std::vector<std::string> QueryService::handle_batch(
-    const std::vector<std::string>& request_lines, unsigned threads) {
-  std::vector<std::string> responses(request_lines.size());
-  parallel_for(
-      request_lines.size(),
-      [&](std::size_t i) { responses[i] = handle(request_lines[i]); },
-      threads);
-  return responses;
-}
-
-std::size_t QueryService::serve(std::istream& in, std::ostream& out,
-                                unsigned threads, std::size_t batch_size) {
-  if (batch_size == 0) batch_size = 1;
+std::size_t QueryService::serve(std::istream& in, std::ostream& out) {
   std::size_t served = 0;
-  std::vector<std::string> batch;
   std::string line;
-  bool stop = false;
-  while (!stop) {
-    batch.clear();
-    while (batch.size() < batch_size) {
-      if (!std::getline(in, line)) {
-        stop = true;
-        break;
-      }
-      if (line == "quit" || line == "exit") {
-        stop = true;
-        break;
-      }
-      if (line.empty()) continue;
-      batch.push_back(line);
-    }
-    if (batch.empty()) continue;
-    for (const auto& response : handle_batch(batch, threads)) {
-      out << response;
-    }
+  while (std::getline(in, line)) {
+    if (line == "quit" || line == "exit") break;
+    if (line.empty()) continue;
+    out << handle(line);
     out.flush();
-    served += batch.size();
+    ++served;
   }
   return served;
 }

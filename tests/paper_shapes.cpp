@@ -51,7 +51,9 @@ TEST(PaperShapes, Madbench256TimeMonotoneOverServers) {
   for (int servers : {1, 2, 4}) {
     const auto r =
         run(w, pvfs(servers, DeviceType::kEphemeral, Placement::kDedicated));
-    if (prev > 0.0) EXPECT_LE(r.total_time, prev) << servers << " servers";
+    if (prev > 0.0) {
+      EXPECT_LE(r.total_time, prev) << servers << " servers";
+    }
     prev = r.total_time;
   }
 }

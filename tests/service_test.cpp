@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <sstream>
+#include <streambuf>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -239,23 +241,6 @@ TEST(QueryServiceTest, ReportsErrorsOnBadCounts) {
   EXPECT_EQ(bad_np.rfind("error", 0), 0u) << bad_np;
 }
 
-TEST(QueryServiceTest, HandleBatchAnswersInRequestOrder) {
-  auto svc = make_service();
-  const std::vector<std::string> requests = {
-      "rank top=1",
-      "rank top=2",
-      "predict config=pvfs.4.D.eph.4M np=64 data=128MiB op=write",
-      "rank top=3",
-  };
-  const auto responses = svc.handle_batch(requests, 4);
-  ASSERT_EQ(responses.size(), requests.size());
-  EXPECT_EQ(responses[0].rfind("ok 1 dimensions", 0), 0u) << responses[0];
-  EXPECT_EQ(responses[1].rfind("ok 2 dimensions", 0), 0u) << responses[1];
-  EXPECT_EQ(responses[2].rfind("ok predicted_improvement=", 0), 0u)
-      << responses[2];
-  EXPECT_EQ(responses[3].rfind("ok 3 dimensions", 0), 0u) << responses[3];
-}
-
 TEST(QueryServiceTest, ServeDrivesStreamsAndStopsOnQuit) {
   auto svc = make_service();
   std::istringstream in(
@@ -265,12 +250,54 @@ TEST(QueryServiceTest, ServeDrivesStreamsAndStopsOnQuit) {
       "quit\n"
       "rank top=3\n");
   std::ostringstream out;
-  const std::size_t served = svc.serve(in, out, 2, 2);
+  const std::size_t served = svc.serve(in, out);
   EXPECT_EQ(served, 2u);
   const auto text = out.str();
   EXPECT_NE(text.find("ok 1 dimensions"), std::string::npos) << text;
   EXPECT_NE(text.find("ok 2 dimensions"), std::string::npos) << text;
   EXPECT_EQ(text.find("ok 3 dimensions"), std::string::npos) << text;
+}
+
+// An input buffer that hands out `lines` one at a time and, when asked
+// for the second, records what the service had written by then.
+class RecordingLineBuf : public std::streambuf {
+ public:
+  RecordingLineBuf(std::vector<std::string> lines,
+                   const std::ostringstream& out)
+      : lines_(std::move(lines)), out_(out) {}
+
+  const std::string& output_before_second_line() const { return seen_; }
+
+ protected:
+  int_type underflow() override {
+    if (next_ == lines_.size()) return traits_type::eof();
+    if (next_ == 1) seen_ = out_.str();
+    current_ = lines_[next_++];
+    setg(current_.data(), current_.data(),
+         current_.data() + current_.size());
+    return traits_type::to_int_type(current_.front());
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  const std::ostringstream& out_;
+  std::size_t next_ = 0;
+  std::string current_;
+  std::string seen_;
+};
+
+// Interactive stdin: a request typed at a terminal must be answered
+// before the user types the next one, not held until a later line (or
+// EOF) arrives.
+TEST(QueryServiceTest, ServeAnswersEachLineBeforeReadingTheNext) {
+  auto svc = make_service();
+  std::ostringstream out;
+  RecordingLineBuf buf({"rank top=1\n", "quit\n"}, out);
+  std::istream in(&buf);
+  EXPECT_EQ(svc.serve(in, out), 1u);
+  EXPECT_EQ(buf.output_before_second_line().rfind("ok 1 dimensions", 0), 0u)
+      << "written before the second line was read: '"
+      << buf.output_before_second_line() << "'";
 }
 
 TEST(QueryServiceTest, StatsReportsPerVerbMetrics) {
@@ -281,7 +308,7 @@ TEST(QueryServiceTest, StatsReportsPerVerbMetrics) {
       "rank top=2",
       "recommend objective=cost top_k=1 np=64 data=4MiB op=read",
   };
-  svc.handle_batch(mixed, 2);
+  for (const auto& line : mixed) svc.handle(line);
 
   const auto snap = obs::MetricsRegistry::global().snapshot();
   for (const char* verb : {"recommend", "predict", "rank"}) {
@@ -693,20 +720,28 @@ TEST(ServiceDegradation, SimulateChaosPresetMatchesExplicitKnobs) {
 
 TEST(QueryServiceConcurrency, BatchesRaceSwapsCleanly) {
   auto svc = make_service();
-  std::vector<std::string> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back(i % 2 == 0
-                        ? "predict config=pvfs.4.D.eph.4M np=64 "
-                          "data=128MiB op=write"
-                        : "rank top=2");
+  constexpr int kThreads = 8;
+  constexpr int kRequestsPerThread = 8;
+  std::vector<std::vector<std::string>> responses(kThreads);
+  std::vector<std::thread> clients;
+  clients.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        responses[t].push_back(svc.handle(
+            (t + i) % 2 == 0
+                ? "predict config=pvfs.4.D.eph.4M np=64 data=128MiB op=write"
+                : "rank top=2"));
+      }
+    });
   }
   std::thread writer([&] {
     for (int s = 0; s < 4; ++s) svc.update_database(synthetic_db());
   });
-  const auto responses = svc.handle_batch(batch, 8);
   writer.join();
-  for (const auto& r : responses) {
-    EXPECT_EQ(r.rfind("ok", 0), 0u) << r;
+  for (auto& c : clients) c.join();
+  for (const auto& per_thread : responses) {
+    for (const auto& r : per_thread) EXPECT_EQ(r.rfind("ok", 0), 0u) << r;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "acic/common/error.hpp"
 #include "acic/common/stats.hpp"
 #include "acic/core/predictor.hpp"
 #include "acic/core/training.hpp"
@@ -153,7 +154,7 @@ TEST(TrainingProvenance, SurvivesCsvRoundTrip) {
   EXPECT_EQ(loaded.samples()[0].retries, 2);
 }
 
-TEST(TrainingProvenance, LegacyCsvWithoutProvenanceStillLoads) {
+TEST(TrainingProvenance, CsvWithoutProvenanceColumnsIsRefused) {
   TrainingDatabase db;
   TrainingSample s;
   s.point = default_point();
@@ -163,15 +164,19 @@ TEST(TrainingProvenance, LegacyCsvWithoutProvenanceStillLoads) {
   s.baseline_cost = 10.0;
   db.insert(s);
   auto table = db.to_csv();
-  // Strip the three provenance columns to fake a pre-upgrade file.
+  // Strip the three provenance columns: a pre-provenance table.
   table.header.resize(table.header.size() - 3);
   for (auto& row : table.rows) row.resize(row.size() - 3);
-  const auto loaded = TrainingDatabase::from_csv(table);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.samples()[0].repeats, 1);
-  EXPECT_EQ(loaded.samples()[0].rejected, 0);
-  EXPECT_EQ(loaded.samples()[0].retries, 0);
-  EXPECT_DOUBLE_EQ(loaded.samples()[0].time, 50.0);
+  try {
+    TrainingDatabase::from_csv(table);
+    FAIL() << "a table without provenance columns loaded";
+  } catch (const Error& e) {
+    const std::string expected =
+        "training CSV header has " + std::to_string(kNumDims + 5) +
+        " columns, expected " + std::to_string(kNumDims + 8);
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(MadStats, MedianAbsoluteDeviation) {
